@@ -60,8 +60,3 @@ def sym_eigvals_3x3(a: np.ndarray) -> np.ndarray:
     mid = np.where(degenerate, q, mid)
     return np.stack([lo, mid, hi], axis=-1)
 
-
-def sym_eigrange_3x3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of symmetric (..., 3, 3) matrices."""
-    vals = sym_eigvals_3x3(a)
-    return vals[..., 0], vals[..., 2]

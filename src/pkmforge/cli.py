@@ -27,9 +27,9 @@ from .config import (
     load_config,
     require_section,
 )
-from .dynamics import acceleration_field, inertia_norm_field
+from .dynamics import acceleration_predicate, gie_predicate
 from .errors import Infeasible, PkmforgeError
-from .grid import GridSpec, ThresholdPredicate, evaluate_mask, largest_cuboid, save_mask
+from .grid import GridSpec, evaluate_mask, largest_cuboid, save_mask
 from .kinematics import condition_field, transmission_predicate
 from .optimize import (
     analytic_preset,
@@ -38,7 +38,7 @@ from .optimize import (
     orthoglide_geometry_problem,
     pareto_sweep,
 )
-from .stiffness import deflection_field, stiffness_predicate
+from .stiffness import stiffness_predicate
 
 log = logging.getLogger("pkmforge")
 
@@ -90,17 +90,16 @@ def _criterion(config: dict, name: str):
         return condition_field(geometry), predicate
     if name == "stiffness":
         model, spec = build_stiffness(config)
-        field = deflection_field(model, spec.load)
-        return field, stiffness_predicate(model, spec, field=field)
-    if name == "gie":
+        predicate = stiffness_predicate(model, spec)
+    elif name == "gie":
         model, spec = build_dynamics(config)
-        field = inertia_norm_field(geometry, model)
-        return field, ThresholdPredicate(field, spec.inertia_bound, "below")
-    if name == "acceleration":
+        predicate = gie_predicate(geometry, model, spec)
+    elif name == "acceleration":
         model, spec = build_dynamics(config)
-        field = acceleration_field(geometry, model, spec.torque_limits, mode=spec.acceleration_mode)
-        return field, ThresholdPredicate(field, spec.min_acceleration, "above")
-    raise ConfigError(f"unknown criterion {name!r}; choose from {CRITERIA}")
+        predicate = acceleration_predicate(geometry, model, spec)
+    else:
+        raise ConfigError(f"unknown criterion {name!r}; choose from {CRITERIA}")
+    return predicate.field, predicate
 
 
 def _write_map_csv(path: Path, spec: GridSpec, values: np.ndarray, feasible: np.ndarray) -> None:
@@ -150,7 +149,7 @@ def cmd_stiffness_map(config: dict, args) -> int:
     positions = spec.node_positions()
     _, minimum_stiffness = model.batch_min_translational_stiffness(positions)
     _, deflections = model.batch_deflection(positions, stiffness_spec.load)
-    path = out / "stiffness_map.csv"
+    path = out / "stiffness_k_map.csv"
     with open(path, "w", newline="") as handle:
         handle.write("x,y,z,k_trans_min,deflection_norm\n")
         for row, k_min, deflection in zip(positions, minimum_stiffness, deflections):
@@ -351,18 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, criterion=False):
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", help="output directory (default: config output.directory)")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--resolution", type=int, help="override the grid resolution N0")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
         if criterion:
             p.add_argument("--criterion", required=True, choices=CRITERIA)
+        return p
 
     common(sub.add_parser("grid-eval", help="write the per-node metric map and mask"), criterion=True)
     common(sub.add_parser("cuboid", help="largest inscribed cuboid for a criterion"), criterion=True)
     common(sub.add_parser("stiffness-map", help="write the stiffness/deflection map"))
-    common(sub.add_parser("optimize", help="run the configured design optimization"))
-    common(sub.add_parser("pareto", help="sweep goal-attainment weights into a Pareto set"))
+    optimize = common(sub.add_parser("optimize", help="run the configured design optimization"))
+    pareto = common(sub.add_parser("pareto", help="sweep goal-attainment weights into a Pareto set"))
     common(sub.add_parser("report", help="run every configured criterion and write a report"))
+    for p in (optimize, pareto):
+        p.add_argument("--seed", type=int, help="override the config seed")
+    pareto.add_argument("--threads", type=int, default=1, help="worker threads for the weight sweep")
     return parser
 
 

@@ -21,7 +21,6 @@ from .errors import SingularJacobian
 from .grid import ScalarField, ThresholdPredicate
 from .kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, jacobian
 
-DEFAULT_SAMPLE_DIRECTIONS = 2048
 _SIGMA_FLOOR = 1e-10
 
 
@@ -104,20 +103,15 @@ def _acceleration_generators(jac, inertia, torque_limits) -> np.ndarray:
     return transmission * limits[None, :]
 
 
-def min_achievable_acceleration(
-    jac,
-    inertia,
-    torque_limits,
-    mode: str = "ball",
-    sample_directions: int = DEFAULT_SAMPLE_DIRECTIONS,
-) -> float:
+def min_achievable_acceleration(jac, inertia, torque_limits, mode: str = "ball") -> float:
     """Guaranteed (or, in 'max' mode, best-case) acceleration magnitude.
 
     'ball' returns the radius of the largest origin-centered ball inside the
     acceleration zonotope: the minimum over the zonotope's facet normals of
-    the support function, with a deterministic sphere sample of directions
-    folded in as a cross-check.  'max' returns the farthest vertex norm (the
-    existence reading of the capability).
+    the support function (a polytope's inradius about an interior point is
+    reached at a facet normal, so no other direction can lower it).  'max'
+    returns the farthest vertex norm (the existence reading of the
+    capability).
     """
     generators = _acceleration_generators(jac, inertia, torque_limits)
     g0, g1, g2 = generators[:, 0], generators[:, 1], generators[:, 2]
@@ -135,8 +129,7 @@ def min_achievable_acceleration(
     if np.any(lengths <= 0.0):
         raise SingularJacobian("acceleration generators are coplanar")
     normals = normals / lengths[:, None]
-    directions = np.vstack([normals, fibonacci_sphere(sample_directions)])
-    support = np.abs(directions @ generators).sum(axis=1)
+    support = np.abs(normals @ generators).sum(axis=1)
     return float(support.min())
 
 

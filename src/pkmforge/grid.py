@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, PkmforgeError, TooLarge
 
 BRUTE_FORCE_DIM_GUARD = 16
 
@@ -148,7 +148,8 @@ class CuboidResult:
 class ScalarField:
     """A per-node scalar metric with an optional vectorized batch path.
 
-    The scalar callable returns NaN for unreachable or failed nodes.  When a
+    Calling the field returns NaN where the scalar callable raises a
+    PkmforgeError or LinAlgError (unreachable or failed nodes).  When a
     batch callable is supplied it must accept an (N, 3) position array and
     return (N,) values with NaN at infeasible rows.  Batch results are cached
     by array identity so threshold families re-use one sweep.
@@ -162,7 +163,7 @@ class ScalarField:
     def __call__(self, position) -> float:
         try:
             return float(self._scalar(np.asarray(position, dtype=float)))
-        except Exception:
+        except (PkmforgeError, np.linalg.LinAlgError):
             return float("nan")
 
     def batch(self, positions: np.ndarray) -> np.ndarray:
@@ -211,24 +212,22 @@ class ThresholdPredicate:
 def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
     """Evaluate a node predicate over every grid node.
 
-    Uses the predicate's vectorized ``batch`` method when present; otherwise
-    calls it per node.  Predicate failures map to False, so the result is
-    total even for partial predicates.
+    A predicate with a vectorized ``batch`` method is swept through it
+    alone, and must return one flag per node.  A plain callable is called
+    per node, where a PkmforgeError or LinAlgError maps to False.
     """
     positions = spec.node_positions()
     batch = getattr(predicate, "batch", None)
     if batch is not None:
-        try:
-            flags = np.asarray(batch(positions), dtype=bool)
-            if flags.shape == (positions.shape[0],):
-                return FeasibilityMask(flags.reshape(spec.dims))
-        except Exception:
-            pass  # fall back to the per-node path below
+        flags = np.asarray(batch(positions), dtype=bool)
+        if flags.shape != (positions.shape[0],):
+            raise ValueError(f"predicate batch returned shape {flags.shape} for {positions.shape[0]} nodes")
+        return FeasibilityMask(flags.reshape(spec.dims))
     flags = np.zeros(positions.shape[0], dtype=bool)
     for n, pos in enumerate(positions):
         try:
             flags[n] = bool(predicate(pos))
-        except Exception:
+        except (PkmforgeError, np.linalg.LinAlgError):
             flags[n] = False
     return FeasibilityMask(flags.reshape(spec.dims))
 

@@ -309,7 +309,8 @@ def transmission_predicate(
     cond_max: float | None = None,
     sigma_range: tuple[float, float] | None = None,
 ):
-    """Node predicate for conditioning specs, pluggable into mask evaluation.
+    """Grid predicate for conditioning specs; its ``batch`` test takes (N, 3)
+    positions, as ``evaluate_mask`` expects.
 
     Feasible nodes are reachable and satisfy ``cond <= cond_max`` and/or
     ``sigma_range[0] <= sigma_min`` with ``sigma_max <= sigma_range[1]``.
@@ -319,25 +320,13 @@ def transmission_predicate(
         raise ValueError("need cond_max, sigma_range, or both")
 
     class _TransmissionPredicate:
-        def __call__(self, position) -> bool:
-            try:
-                sample = kinematic_sample(position, geometry)
-            except (Infeasible, Singular):
-                return False
-            return self._check(sample.cond, sample.sigma_min, sample.sigma_max)
-
-        @staticmethod
-        def _check(cond, sigma_min, sigma_max):
-            ok = True
-            if cond_max is not None:
-                ok = ok & (cond <= cond_max)
-            if sigma_range is not None:
-                ok = ok & (sigma_min >= sigma_range[0]) & (sigma_max <= sigma_range[1])
-            return ok
-
         def batch(self, positions) -> np.ndarray:
             valid, cond, sigma_min, sigma_max = batch_transmission(positions, geometry)
             with np.errstate(invalid="ignore"):
-                return valid & self._check(cond, sigma_min, sigma_max)
+                if cond_max is not None:
+                    valid = valid & (cond <= cond_max)
+                if sigma_range is not None:
+                    valid = valid & (sigma_min >= sigma_range[0]) & (sigma_max <= sigma_range[1])
+            return valid
 
     return _TransmissionPredicate()

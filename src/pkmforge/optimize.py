@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import Infeasible
+from .errors import Infeasible, PkmforgeError
 from .grid import GridSpec, evaluate_mask, largest_cuboid
 from .kinematics import GeometryParams, transmission_predicate
 
@@ -492,14 +492,15 @@ def workspace_constraint(
     Builds the design's feasibility predicate, sweeps the grid, and returns
     ``mu * a - a0`` where ``a`` is the first cuboid proportion and ``a0`` the
     first target extent (callers choose proportions matching the target, so
-    one axis decides).  Any failure maps to -inf (an infeasible design).
+    one axis decides).  A PkmforgeError or LinAlgError maps to -inf (an
+    infeasible design); any other exception propagates.
     """
     target = np.asarray(target, dtype=float)
     try:
         predicate = predicate_factory(np.asarray(design, dtype=float))
         mask = evaluate_mask(spec, predicate)
         result = largest_cuboid(mask, spec)
-    except Exception:
+    except (PkmforgeError, np.linalg.LinAlgError):
         return INFEASIBLE_SENTINEL
     return float(result.mu * spec.proportions[0] - target[0])
 

@@ -228,15 +228,6 @@ _AXIS = np.eye(3)
 _FRAME_REF = (1, 2, 0)
 
 
-def _spring_columns(frame: np.ndarray, lever: np.ndarray) -> np.ndarray:
-    """Twist columns of a 6-DOF spring frame acting at lever ``r`` from the tool."""
-    cols = np.zeros((WRENCH_SIZE, 6))
-    cols[:3, :3] = frame
-    cols[:3, 3:] = np.cross(frame.T, lever).T
-    cols[3:, 3:] = frame
-    return cols
-
-
 @dataclass(frozen=True)
 class OrthoglideStiffnessModel:
     """Pose-dependent chain builder for the three-legged Orthoglide.
@@ -266,18 +257,42 @@ class OrthoglideStiffnessModel:
         )
         return k
 
-    def _leg_frames(self, p: np.ndarray, rho: np.ndarray, leg: int):
-        anchor = rho[leg] * _AXIS[leg]
-        lever = p - anchor
+    def _leg_jacobians(self, pts: np.ndarray, rho: np.ndarray, leg: int):
+        """Jacobians of one leg over (N, 3) tool points with drive values ``rho``.
+
+        Returns (ok, J_virtual (N, 6, 13), J_passive (N, 6, 2)); ``ok`` is
+        False where the leg is aligned with its frame reference axis.
+        """
+        n = pts.shape[0]
+        anchor = np.zeros((n, 3))
+        anchor[:, leg] = rho[:, leg]
+        lever = pts - anchor
         direction = lever / self.geometry.leg_lengths[leg]
         ref = _AXIS[_FRAME_REF[leg]]
         normal1 = np.cross(direction, ref)
-        norm = np.linalg.norm(normal1)
-        if norm < 1e-9:
-            raise Infeasible(f"leg {leg} aligned with its frame reference axis")
-        normal1 /= norm
+        norms = np.linalg.norm(normal1, axis=1)
+        ok = norms >= 1e-9
+        normal1 = normal1 / np.where(ok, norms, 1.0)[:, None]
         normal2 = np.cross(direction, normal1)
-        return lever, direction, normal1, normal2
+
+        j_virtual = np.zeros((n, WRENCH_SIZE, 13))
+        j_virtual[:, :3, 0] = _AXIS[leg]
+        foot_axes = (_AXIS[leg], _AXIS[(leg + 1) % 3], _AXIS[(leg + 2) % 3])
+        for m, axis in enumerate(foot_axes):
+            j_virtual[:, :3, 1 + m] = axis
+            j_virtual[:, :3, 4 + m] = np.cross(np.broadcast_to(axis, lever.shape), lever)
+            j_virtual[:, 3:, 4 + m] = axis
+        for m, axis in enumerate((direction, normal1, normal2)):
+            j_virtual[:, :3, 7 + m] = axis
+            j_virtual[:, :3, 10 + m] = np.cross(axis, lever)
+            j_virtual[:, 3:, 10 + m] = axis
+
+        j_passive = np.zeros((n, WRENCH_SIZE, 2))
+        j_passive[:, :3, 0] = np.cross(normal1, lever)
+        j_passive[:, 3:, 0] = normal1
+        j_passive[:, :3, 1] = np.cross(normal2, lever)
+        j_passive[:, 3:, 1] = normal2
+        return ok, j_virtual, j_passive
 
     def chains(self, p) -> list[ChainModel]:
         """The three chain models at tool point ``p`` (raises Infeasible)."""
@@ -285,31 +300,17 @@ class OrthoglideStiffnessModel:
         rho = inverse_kinematics(p, self.geometry)
         models = []
         for leg in range(3):
-            lever, direction, normal1, normal2 = self._leg_frames(p, rho, leg)
-            j_virtual = np.zeros((WRENCH_SIZE, 13))
-            j_virtual[:3, 0] = _AXIS[leg]
-            foot_frame = np.column_stack(
-                [_AXIS[leg], _AXIS[(leg + 1) % 3], _AXIS[(leg + 2) % 3]]
-            )
-            j_virtual[:, 1:7] = _spring_columns(foot_frame, lever)
-            leg_frame = np.column_stack([direction, normal1, normal2])
-            j_virtual[:, 7:13] = _spring_columns(leg_frame, lever)
-            j_passive = np.zeros((WRENCH_SIZE, 2))
-            j_passive[:3, 0] = np.cross(normal1, lever)
-            j_passive[3:, 0] = normal1
-            j_passive[:3, 1] = np.cross(normal2, lever)
-            j_passive[3:, 1] = normal2
+            ok, j_virtual, j_passive = self._leg_jacobians(p[None], rho[None], leg)
+            if not ok[0]:
+                raise Infeasible(f"leg {leg} aligned with its frame reference axis")
             models.append(
                 ChainModel(
-                    j_virtual=j_virtual,
-                    j_passive=j_passive,
+                    j_virtual=j_virtual[0],
+                    j_passive=j_passive[0],
                     k_virtual=self._spring_matrix(leg),
                 )
             )
         return models
-
-    def __call__(self, p) -> list[ChainModel]:
-        return self.chains(p)
 
     def cartesian_stiffness(self, p) -> CartesianStiffness:
         return aggregate_stiffness([chain_cartesian_stiffness(c) for c in self.chains(p)])
@@ -327,37 +328,12 @@ class OrthoglideStiffnessModel:
         n = pts.shape[0]
         total = np.zeros((n, WRENCH_SIZE, WRENCH_SIZE))
         for leg in range(3):
-            anchor = np.zeros((n, 3))
-            anchor[:, leg] = rho[:, leg]
-            lever = pts - anchor
-            direction = lever / self.geometry.leg_lengths[leg]
-            ref = _AXIS[_FRAME_REF[leg]]
-            normal1 = np.cross(direction, ref)
-            norms = np.linalg.norm(normal1, axis=1)
-            valid = valid & (norms >= 1e-9)
-            normal1 = normal1 / np.where(norms >= 1e-9, norms, 1.0)[:, None]
-            normal2 = np.cross(direction, normal1)
-
-            j_virtual = np.zeros((n, WRENCH_SIZE, 13))
-            j_virtual[:, :3, 0] = _AXIS[leg]
-            foot_axes = (_AXIS[leg], _AXIS[(leg + 1) % 3], _AXIS[(leg + 2) % 3])
-            for m, axis in enumerate(foot_axes):
-                j_virtual[:, :3, 1 + m] = axis
-                j_virtual[:, :3, 4 + m] = np.cross(np.broadcast_to(axis, lever.shape), lever)
-                j_virtual[:, 3:, 4 + m] = axis
-            for m, axis in enumerate((direction, normal1, normal2)):
-                j_virtual[:, :3, 7 + m] = axis
-                j_virtual[:, :3, 10 + m] = np.cross(axis, lever)
-                j_virtual[:, 3:, 10 + m] = axis
-
-            j_passive = np.zeros((n, WRENCH_SIZE, 2))
-            j_passive[:, :3, 0] = np.cross(normal1, lever)
-            j_passive[:, 3:, 0] = normal1
-            j_passive[:, :3, 1] = np.cross(normal2, lever)
-            j_passive[:, 3:, 1] = normal2
-
+            ok, j_virtual, j_passive = self._leg_jacobians(pts, rho, leg)
+            valid = valid & ok
             k_inv = np.linalg.inv(self._spring_matrix(leg))
             compliance = np.einsum("nij,jk,nlk->nil", j_virtual, k_inv, j_virtual)
+            # one leg's (N, 6, 13) Jacobian is the largest array of the sweep
+            del j_virtual
             scale = np.abs(compliance).max(axis=(1, 2))
             valid = valid & np.isfinite(scale) & (scale > 0.0)
             safe_scale = np.where(valid, scale, 1.0)
@@ -411,39 +387,23 @@ class OrthoglideStiffnessModel:
         return valid, np.where(valid, lows, np.nan)
 
 
-def deflection_field(builder, load) -> ScalarField:
-    """Field of the translational deflection norm under a fixed wrench.
-
-    ``builder`` maps a pose to the chain models; builders exposing
-    ``batch_deflection`` get the vectorized sweep.
-    """
+def deflection_field(model: OrthoglideStiffnessModel, load) -> ScalarField:
+    """Field of the translational deflection norm under a fixed wrench."""
     f = np.asarray(load, dtype=float)
 
     def scalar(position):
-        chains = builder(position)
-        stiffness = aggregate_stiffness([chain_cartesian_stiffness(c) for c in chains])
-        twist = deflection(stiffness, f)
-        return float(np.linalg.norm(twist[:3]))
+        return float(np.linalg.norm(deflection(model.cartesian_stiffness(position), f)[:3]))
 
-    batch = None
-    if hasattr(builder, "batch_deflection"):
-
-        def batch(positions):
-            _, values = builder.batch_deflection(positions, f)
-            return values
+    def batch(positions):
+        _, values = model.batch_deflection(positions, f)
+        return values
 
     return ScalarField(scalar, batch)
 
 
-def stiffness_predicate(builder, spec: StiffnessSpec, field: ScalarField | None = None) -> ThresholdPredicate:
-    """Node predicate: reachable and deflection norm within the limit.
-
-    Pass a shared ``field`` (from deflection_field) when sweeping several
-    limits so the stiffness map is computed once.
-    """
-    if field is None:
-        field = deflection_field(builder, spec.load)
-    return ThresholdPredicate(field, spec.deflection_limit, feasible_when="below")
+def stiffness_predicate(model: OrthoglideStiffnessModel, spec: StiffnessSpec) -> ThresholdPredicate:
+    """Node predicate: reachable and deflection norm within the limit."""
+    return ThresholdPredicate(deflection_field(model, spec.load), spec.deflection_limit, feasible_when="below")
 
 
 def cross_section_sweep(

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pkmforge.cli import main
 from pkmforge.config import default_config, validate_config
@@ -62,6 +63,16 @@ class TestConfigHandling:
         del config["stiffness"]
         code, _ = cli(tmp_path, config, "stiffness-map")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("report", "--seed"), ("grid-eval", "--seed"), ("optimize", "--threads"), ("stiffness-map", "--threads")],
+    )
+    def test_flag_rejected_where_unused(self, tmp_path, command, flag):
+        extra = ("--criterion", "kinematic") if command == "grid-eval" else ()
+        with pytest.raises(SystemExit) as exit_info:
+            cli(tmp_path, small_config(), command, *extra, flag, "5")
+        assert exit_info.value.code == 2
 
     def test_default_config_validates(self):
         validated = validate_config(default_config())
@@ -164,12 +175,20 @@ class TestStiffnessMap:
     def test_columns_and_center_values(self, tmp_path):
         code, out = cli(tmp_path, small_config(), "stiffness-map")
         assert code == 0
-        lines = (out / "stiffness_map.csv").read_text().splitlines()
+        lines = (out / "stiffness_k_map.csv").read_text().splitlines()
         assert lines[0] == "x,y,z,k_trans_min,deflection_norm"
         center = [l for l in lines[1:] if l.startswith("0,0,0,")][0]
         k_min, deflection = map(float, center.split(",")[3:])
         assert k_min > 0.0
         assert deflection > 0.0
+
+    def test_shares_an_output_directory_with_the_stiffness_grid_map(self, tmp_path):
+        config = small_config()
+        assert cli(tmp_path, config, "grid-eval", "--criterion", "stiffness")[0] == 0
+        code, out = cli(tmp_path, config, "stiffness-map")
+        assert code == 0
+        assert (out / "stiffness_map.csv").read_text().startswith("x,y,z,value,feasible\n")
+        assert (out / "stiffness_k_map.csv").read_text().startswith("x,y,z,k_trans_min,deflection_norm\n")
 
 
 class TestOptimize:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from pkmforge.errors import DimensionMismatch, TooLarge
+from pkmforge.errors import DimensionMismatch, Infeasible, TooLarge
 from pkmforge.grid import (
     CuboidResult,
     FeasibilityMask,
@@ -72,12 +72,52 @@ class TestEvaluateMask:
 
         def flaky(p):
             if p[0] == 0.0:
-                raise RuntimeError("boom")
+                raise Infeasible("boom")
             return True
 
         mask = evaluate_mask(spec, flaky)
         assert not mask.data[0].any()
         assert mask.data[1:].all()
+
+    def test_per_node_programming_error_propagates(self):
+        def broken(p):
+            raise TypeError("deliberate")
+
+        with pytest.raises(TypeError, match="deliberate"):
+            evaluate_mask(make_spec((3, 3, 3)), broken)
+
+    def test_batch_programming_error_propagates(self):
+        class Broken:
+            def __call__(self, p):
+                return True
+
+            def batch(self, positions):
+                raise TypeError("deliberate")
+
+        with pytest.raises(TypeError, match="deliberate"):
+            evaluate_mask(make_spec((3, 3, 3)), Broken())
+
+    def test_field_maps_only_numeric_failures_to_nan(self):
+        def scalar(p):
+            if p[0] < 0.0:
+                raise Infeasible("out of reach")
+            raise TypeError("deliberate")
+
+        field = ScalarField(scalar)
+        assert np.isnan(field(np.array([-1.0, 0.0, 0.0])))
+        with pytest.raises(TypeError, match="deliberate"):
+            field(np.array([1.0, 0.0, 0.0]))
+
+    def test_misshapen_batch_result_is_rejected(self):
+        class Misshapen:
+            def __call__(self, p):
+                return True
+
+            def batch(self, positions):
+                return np.ones((len(positions), 1), dtype=bool)
+
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_mask(make_spec((3, 3, 3)), Misshapen())
 
     def test_kinematic_predicate_true_at_center(self):
         from pkmforge.kinematics import GeometryParams, transmission_predicate

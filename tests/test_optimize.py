@@ -217,10 +217,28 @@ class TestWorkspaceConstraint:
 
     def test_factory_failure_maps_to_sentinel(self):
         def broken(design):
-            raise RuntimeError("no predicate for you")
+            raise Infeasible("no predicate for you")
 
         value = workspace_constraint(np.array([0.4]), broken, self.spec(), (0.5, 0.5, 0.5))
         assert value == float("-inf")
+
+    def test_factory_programming_error_propagates(self):
+        def broken(design):
+            raise TypeError("deliberate")
+
+        with pytest.raises(TypeError, match="deliberate"):
+            workspace_constraint(np.array([0.4]), broken, self.spec(), (0.5, 0.5, 0.5))
+
+    def test_predicate_programming_error_propagates(self):
+        def factory(design):
+            class Broken:
+                def batch(self, positions):
+                    raise TypeError("deliberate")
+
+            return Broken()
+
+        with pytest.raises(TypeError, match="deliberate"):
+            workspace_constraint(np.array([0.4]), factory, self.spec(), (0.5, 0.5, 0.5))
 
     def test_resolution_refinement_moves_h_at_most_one_step(self):
         design = np.array([0.731])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from pkmforge.errors import EmptyInput, SingularStiffness, SingularSystem
 from pkmforge.grid import GridSpec, ThresholdPredicate, evaluate_mask, nested_cuboids
-from pkmforge.kinematics import GeometryParams
+from pkmforge.kinematics import GeometryParams, is_reachable
 from pkmforge.stiffness import (
     CartesianStiffness,
     ChainModel,
@@ -235,6 +237,17 @@ class TestOrthoglideModel:
                 assert not valid[idx]
             else:
                 assert values[idx] == pytest.approx(scalar, rel=1e-9)
+
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.floats(-0.45, 0.45)] * 3))
+    def test_batch_row_matches_block_system(self, point):
+        model, _ = default_model()
+        p = np.array(point)
+        assume(is_reachable(p, model.geometry))
+        valid, stiffness = model.batch_cartesian_stiffness(p[None])
+        reference = model.cartesian_stiffness(p).matrix
+        assert valid[0]
+        assert np.abs(stiffness[0] - reference).max() <= 1e-9 * np.abs(reference).max()
 
     def test_stiffer_springs_deflect_less(self):
         model, spec = default_model()
