@@ -8,17 +8,20 @@ cube in *index* space maps to the largest cuboid of proportions a x b x c in
 Cartesian space; its scale factor is ``mu = (m - 1) / N0`` for a cube of
 ``m`` nodes per edge.
 
-``largest_cuboid`` runs a single-pass dynamic program over the boolean mask:
-a node's value is one plus the minimum over its seven lower-index neighbours
-(the three faces, three edges and one corner predecessor), giving the edge
-length of the largest all-true cube anchored at that node.  ``brute_force_
-cuboid`` is the deliberately dumb oracle used to validate the DP.
+``largest_cuboid`` builds a summed-area table (a 3-D integral image) of the
+boolean mask, so the true-node count of any cube is an 8-term
+inclusion-exclusion, and binary-searches the cube edge: a cube of edge e
+fits where that count equals e**3, and a fitting cube of edge e contains
+one of edge e - 1.  Of the upper corners that end a largest cube, the first
+in C order (the lexicographically smallest) is reported.
+``brute_force_cuboid`` is the deliberately dumb oracle used to validate the
+search.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,14 +31,38 @@ from .errors import DimensionMismatch, PkmforgeError, TooLarge
 BRUTE_FORCE_DIM_GUARD = 16
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _ValueSemantics:
+    """Equality and hashing over a frozen dataclass's field values.
+
+    The generated ``__eq__``/``__hash__`` fail on array fields; here arrays
+    compare and hash as tuples of their elements.
+    """
+
+    def _value_key(self) -> tuple:
+        return tuple(
+            tuple(value.tolist()) if isinstance(value, np.ndarray) else value
+            for value in (getattr(self, f.name) for f in fields(self))
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self):
+        return hash(self._value_key())
+
+
+@dataclass(frozen=True, eq=False)
+class GridSpec(_ValueSemantics):
     """Axis-aligned node grid with steps tied to the cuboid proportions.
 
     origin       (3,) Cartesian position of node (0, 0, 0) [m]
     proportions  (3,) prescribed cuboid proportions (a, b, c) [m]
     resolution   N0; steps per axis are proportions / N0
     dims         (3,) node counts per axis, each >= 2
+
+    Specs compare and hash by these four values.
     """
 
     origin: np.ndarray
@@ -104,13 +131,14 @@ class FeasibilityMask:
         return int(self.data.sum())
 
 
-@dataclass(frozen=True)
-class CuboidResult:
+@dataclass(frozen=True, eq=False)
+class CuboidResult(_ValueSemantics):
     """Largest inscribed prescribed-proportion cuboid found in a mask.
 
     node_edge is the cube edge in nodes (m); the scale factor is
     mu = (m - 1) / N0 and the Cartesian extents are mu * proportions.
-    An all-false mask yields found=False, node_edge=0 and mu=0.
+    An all-false mask yields found=False, node_edge=0 and mu=0.  Results
+    compare and hash by their values.
     """
 
     found: bool
@@ -232,69 +260,66 @@ def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
     return FeasibilityMask(flags.reshape(spec.dims))
 
 
-def _cube_sizes(mask: FeasibilityMask) -> tuple[int, tuple[int, int, int]]:
-    """Run the seven-predecessor DP; return (max edge, first argmax index).
+def _integral_image(data: np.ndarray) -> np.ndarray:
+    """Zero-padded 3-D summed-area table: ``table[i, j, k]`` counts the true
+    nodes in ``data[:i, :j, :k]``.
 
-    Boundary nodes (any index zero) take the raw mask value; interior nodes
-    take 1 + min over the seven lower-index neighbours.  The argmax reported
-    is the first maximum in C order, i.e. the lexicographically smallest
-    anchor (i0, j0, k0).
+    int32 holds any count below 2**31 nodes; larger masks use int64.
     """
-    data = mask.data
-    ni, nj, nk = data.shape
-    best = 0
-    best_anchor = (0, 0, 0)
-    phi_prev: Optional[np.ndarray] = None
+    dtype = np.int64 if data.size >= 2**31 else np.int32
+    table = np.zeros(tuple(n + 1 for n in data.shape), dtype=dtype)
+    table[1:, 1:, 1:] = data
+    for axis in range(3):
+        np.cumsum(table, axis=axis, out=table)
+    return table
 
-    for i in range(ni):
-        plane = data[i]
-        if i == 0:
-            phi = plane.astype(np.int32)
+
+def _cube_fits(table: np.ndarray, edge: int) -> np.ndarray:
+    """Flags over upper corners: True where the all-true cube of ``edge``
+    nodes ending at that corner fits.
+
+    Entry ``[a, b, c]`` is the upper corner ``(a, b, c) + edge - 1``.  The
+    8-term inclusion-exclusion is taken one axis at a time, three
+    differences instead of seven sums.
+    """
+    box = table[edge:] - table[:-edge]
+    box = box[:, edge:] - box[:, :-edge]
+    box = box[:, :, edge:] - box[:, :, :-edge]
+    return box == edge**3
+
+
+def _cube_sizes(mask: FeasibilityMask) -> tuple[int, tuple[int, int, int]]:
+    """Largest all-true cube edge and its upper corner, ``(edge, anchor)``.
+
+    Binary search on the edge over a summed-area table: a cube of edge e
+    that fits contains one of edge e - 1, so "some cube of edge e fits" is
+    monotone in e.  The anchor is the first upper corner in C order, i.e.
+    the lexicographically smallest, that ends a cube of the maximal edge.
+    An all-false mask gives ``(0, (0, 0, 0))``.
+    """
+    table = _integral_image(mask.data)
+    lo, hi = 0, min(mask.dims)
+    fits = None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        candidate = _cube_fits(table, mid)
+        if candidate.any():
+            lo, fits = mid, candidate
         else:
-            # cap[j, k] = min over the four previous-plane predecessors
-            cap = phi_prev.copy()
-            cap[1:, :] = np.minimum(cap[1:, :], phi_prev[:-1, :])
-            cap[:, 1:] = np.minimum(cap[:, 1:], cap[:, :-1].copy())
-            phi = np.zeros((nj, nk), dtype=np.int32)
-            phi[0, :] = plane[0, :]
-            phi[:, 0] = plane[:, 0]
-            cap_rows = cap.tolist()
-            mask_rows = plane.tolist()
-            phi_rows = phi.tolist()
-            for j in range(1, nj):
-                row = phi_rows[j]
-                above = phi_rows[j - 1]
-                caps = cap_rows[j]
-                occupied = mask_rows[j]
-                for k in range(1, nk):
-                    if occupied[k]:
-                        m = above[k]
-                        v = above[k - 1]
-                        if v < m:
-                            m = v
-                        v = row[k - 1]
-                        if v < m:
-                            m = v
-                        v = caps[k]
-                        if v < m:
-                            m = v
-                        row[k] = m + 1
-            phi = np.asarray(phi_rows, dtype=np.int32)
-        plane_best = int(phi.max()) if phi.size else 0
-        if plane_best > best:
-            flat = int(np.argmax(phi))
-            best = plane_best
-            best_anchor = (i, flat // nk, flat % nk)
-        phi_prev = phi
-    return best, best_anchor
+            hi = mid - 1
+    if lo == 0:
+        return 0, (0, 0, 0)
+    corner = np.unravel_index(int(np.argmax(fits)), fits.shape)
+    return lo, tuple(int(c) + lo - 1 for c in corner)
 
 
 def largest_cuboid(mask: FeasibilityMask, spec: GridSpec) -> CuboidResult:
     """Largest all-true index cube in the mask, as a Cartesian cuboid.
 
-    Ties between equally large cubes break toward the lexicographically
-    smallest anchor index.  Raises DimensionMismatch when mask and spec
-    disagree on node counts.
+    The edge is exact (summed-area table plus binary search on the edge, see
+    ``_cube_sizes``).  Ties between equally large cubes break toward the
+    lexicographically smallest anchor, the upper corner ``index_max``.
+    Raises DimensionMismatch when mask and spec disagree on node counts.
     """
     if mask.dims != spec.dims:
         raise DimensionMismatch(f"mask dims {mask.dims} do not match grid dims {spec.dims}")

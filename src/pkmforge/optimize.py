@@ -379,13 +379,12 @@ def pareto_sweep(
 ) -> ParetoSet:
     """One goal-attainment solve per weight vector, dominance filtered.
 
-    Per-weight failures are recorded and the sweep continues.  With
+    A weight vector that ``problem.with_weights`` rejects (ValueError), or
+    whose solve raises a PkmforgeError or LinAlgError, is recorded as a
+    failure and the sweep continues; any other exception propagates.  With
     ``threads > 1`` the independent solves run concurrently; results are
     collected in input order so output is deterministic.
     """
-
-    def solve(weights):
-        return goal_attain(problem.with_weights(weights), starts, budget=budget)
 
     raw: list[Optional[ParetoPoint]] = [None] * len(weight_vectors)
     failures: list[tuple[np.ndarray, str]] = []
@@ -393,15 +392,19 @@ def pareto_sweep(
     def run_one(index, weights):
         weights = np.asarray(weights, dtype=float)
         try:
-            result = solve(weights)
-            return index, ParetoPoint(
-                design=result.pi_star,
-                objectives=result.objective_values,
-                weights=weights,
-                attainment=result.lambda_star,
-            ), None
-        except Exception as exc:  # noqa: BLE001 - sweep must survive bad weights
+            weighted = problem.with_weights(weights)
+        except ValueError as exc:
             return index, None, f"{type(exc).__name__}: {exc}"
+        try:
+            result = goal_attain(weighted, starts, budget=budget)
+        except (PkmforgeError, np.linalg.LinAlgError) as exc:
+            return index, None, f"{type(exc).__name__}: {exc}"
+        return index, ParetoPoint(
+            design=result.pi_star,
+            objectives=result.objective_values,
+            weights=weights,
+            attainment=result.lambda_star,
+        ), None
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

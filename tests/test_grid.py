@@ -1,7 +1,11 @@
+import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkmforge.errors import DimensionMismatch, Infeasible, TooLarge
 from pkmforge.grid import (
@@ -39,6 +43,22 @@ class TestGridSpec:
     def test_steps_follow_proportions(self):
         spec = make_spec((4, 4, 4), resolution=10, proportions=(1.0, 1.0, 0.8))
         assert np.allclose(spec.steps, [0.1, 0.1, 0.08])
+
+    def test_equal_specs_compare_and_hash_equal(self):
+        a = make_spec((3, 4, 5), resolution=8, proportions=(1.0, 2.0, 0.5), origin=(-1.0, 0.5, 0.25))
+        b = make_spec([3, 4, 5], resolution=8, proportions=[1, 2, 0.5], origin=np.array([-1.0, 0.5, 0.25]))
+        a.node_positions()  # the position cache takes no part in equality
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_specs_differing_in_one_value_are_unequal(self):
+        base = make_spec((3, 4, 5))
+        assert base != make_spec((3, 4, 6))
+        assert base != make_spec((3, 4, 5), resolution=5)
+        assert base != make_spec((3, 4, 5), proportions=(1.0, 1.0, 0.5))
+        assert base != make_spec((3, 4, 5), origin=(0.0, 0.0, 0.1))
+        assert base != (base.origin, base.proportions, base.resolution, base.dims)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -189,6 +209,28 @@ class TestLargestCuboid:
         # all candidates have edge 1; anchor must be the C-order first true node
         assert result.index_max == (0, 0, 1)
 
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(
+        st.tuples(*[st.integers(2, 12)] * 3),
+        st.floats(0.1, 0.95),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_anchor_is_first_upper_corner_of_oracle_edge(self, dims, density, seed):
+        mask = FeasibilityMask(np.random.default_rng(seed).random(dims) < density)
+        edge = brute_force_cuboid(mask)
+        result = largest_cuboid(mask, make_spec(dims))
+        assert result.node_edge == edge
+        if edge == 0:
+            assert result.index_max is None
+            return
+        d = edge - 1
+        first = next(
+            (i, j, k)
+            for i, j, k in itertools.product(*(range(d, n) for n in dims))
+            if mask.data[i - d : i + 1, j - d : j + 1, k - d : k + 1].all()
+        )
+        assert result.index_max == first
+
     def test_cart_extent_equals_mu_times_proportions(self):
         # exact binary arithmetic: origin, proportions and N0 are powers of two
         spec = make_spec((9, 9, 9), resolution=8, proportions=(1.0, 1.0, 0.5), origin=(-0.5, -0.5, -0.25))
@@ -307,6 +349,20 @@ class TestSerialization:
         assert restored.node_edge == result.node_edge
         assert restored.index_min == result.index_min
         assert np.allclose(restored.cart_min, result.cart_min)
+
+    def test_cuboid_results_compare_by_value(self, rng):
+        spec = make_spec((5, 5, 5))
+        data = rng.random((5, 5, 5)) < 0.7
+        result = largest_cuboid(FeasibilityMask(data), spec)
+        again = largest_cuboid(FeasibilityMask(data.copy()), spec)
+        assert result == again
+        assert hash(result) == hash(again)
+        assert CuboidResult.from_dict(result.to_dict()) == result
+        assert result != largest_cuboid(FeasibilityMask(np.ones((5, 5, 5), bool)), spec)
+        assert replace(result, cart_min=result.cart_min + 1.0) != result
+        empty = largest_cuboid(FeasibilityMask(np.zeros((5, 5, 5), bool)), spec)
+        assert empty == CuboidResult(found=False, node_edge=0, mu=0.0)
+        assert hash(empty) == hash(CuboidResult(found=False, node_edge=0, mu=0.0))
 
     def test_empty_cuboid_serializes(self):
         result = largest_cuboid(FeasibilityMask(np.zeros((4, 4, 4), bool)), make_spec((4, 4, 4)))

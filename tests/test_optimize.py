@@ -193,6 +193,21 @@ class TestParetoSweep:
         assert len(front.points) == 0
         assert len(front.failures) == 2
 
+    def test_rejected_weights_recorded_as_failure(self):
+        problem, _ = analytic_preset("biobjective_front")
+        weights = [np.array([0.0, 0.0]), np.array([0.5, 0.5])]
+        front = pareto_sweep(problem, weights, starts_for(problem), budget=100)
+        assert len(front.points) == 1
+        assert len(front.failures) == 1
+        assert np.array_equal(front.failures[0][0], [0.0, 0.0])
+        assert front.failures[0][1].startswith("ValueError")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_error_propagates(self, threads):
+        problem, weights = analytic_preset("biobjective_front")
+        with pytest.raises(TypeError):
+            pareto_sweep(problem, weights[:2], [object()], budget=50, threads=threads)
+
 
 class TestWorkspaceConstraint:
     def spec(self, resolution=8):
