@@ -25,11 +25,10 @@ from .config import (
     build_grid,
     build_stiffness,
     load_config,
-    require_section,
 )
 from .dynamics import acceleration_predicate, gie_predicate
 from .errors import Infeasible, PkmforgeError
-from .grid import GridSpec, evaluate_mask, largest_cuboid, save_mask
+from .grid import evaluate_mask, largest_cuboid, save_mask
 from .kinematics import condition_field, transmission_predicate
 from .optimize import (
     analytic_preset,
@@ -38,7 +37,7 @@ from .optimize import (
     orthoglide_geometry_problem,
     pareto_sweep,
 )
-from .stiffness import stiffness_predicate
+from .stiffness import min_translational_stiffness, stiffness_predicate, translational_deflection
 
 log = logging.getLogger("pkmforge")
 
@@ -70,21 +69,28 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write the header, then one line per row of numbers, each cell through ``_format``."""
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_format(float(v)) for v in row) + "\n")
+
+
 def _wants(config: dict, fmt: str) -> bool:
     """Format toggle for the bulk data exports (primary results always write)."""
-    return fmt in config.get("output", {}).get("formats", ["csv", "json"])
+    return fmt in config["output"]["formats"]
 
 
 def _criterion(config: dict, name: str):
     """Value field and feasibility predicate for a named criterion."""
     geometry = build_geometry(config)
     if name == "kinematic":
-        section = config.get("kinematic", {})
-        cond_max = section.get("cond_max")
-        sigma_range = section.get("sigma_range")
+        section = config["kinematic"]
+        sigma_range = section["sigma_range"]
         predicate = transmission_predicate(
             geometry,
-            cond_max=cond_max,
+            cond_max=section["cond_max"],
             sigma_range=tuple(sigma_range) if sigma_range else None,
         )
         return condition_field(geometry), predicate
@@ -102,31 +108,20 @@ def _criterion(config: dict, name: str):
     return predicate.field, predicate
 
 
-def _write_map_csv(path: Path, spec: GridSpec, values: np.ndarray, feasible: np.ndarray) -> None:
-    positions = spec.node_positions()
-    with open(path, "w", newline="") as handle:
-        handle.write("x,y,z,value,feasible\n")
-        for row, value, flag in zip(positions, values, feasible):
-            handle.write(
-                f"{_format(row[0])},{_format(row[1])},{_format(row[2])},"
-                f"{_format(float(value))},{int(flag)}\n"
-            )
-
-
 def _evaluate_criterion(config: dict, name: str, resolution: int | None):
+    """Grid, value field and feasibility mask of a criterion; sweeps the mask only."""
     spec = build_grid(config, resolution)
     field, predicate = _criterion(config, name)
-    positions = spec.node_positions()
-    values = field.batch(positions)
-    mask = evaluate_mask(spec, predicate)
-    return spec, values, mask
+    return spec, field, evaluate_mask(spec, predicate)
 
 
 def cmd_grid_eval(config: dict, args) -> int:
     out = _out_dir(config, args)
-    spec, values, mask = _evaluate_criterion(config, args.criterion, args.resolution)
+    spec, field, mask = _evaluate_criterion(config, args.criterion, args.resolution)
     if _wants(config, "csv"):
-        _write_map_csv(out / f"{args.criterion}_map.csv", spec, values, mask.data.ravel())
+        positions = spec.node_positions()
+        table = np.column_stack([positions, field.batch(positions), mask.data.ravel()])
+        _write_csv(out / f"{args.criterion}_map.csv", ("x", "y", "z", "value", "feasible"), table.tolist())
     save_mask(out / f"{args.criterion}_mask.npz", mask)
     print(f"{args.criterion}: {mask.count()} of {mask.data.size} nodes feasible")
     return EXIT_OK
@@ -144,63 +139,64 @@ def cmd_cuboid(config: dict, args) -> int:
 
 def cmd_stiffness_map(config: dict, args) -> int:
     out = _out_dir(config, args)
-    spec = build_grid(config, args.resolution)
+    positions = build_grid(config, args.resolution).node_positions()
     model, stiffness_spec = build_stiffness(config)
-    positions = spec.node_positions()
-    _, minimum_stiffness = model.batch_min_translational_stiffness(positions)
-    _, deflections = model.batch_deflection(positions, stiffness_spec.load)
+    valid, stiffness = model.batch_cartesian_stiffness(positions)
+    _, deflections = translational_deflection(valid, stiffness, stiffness_spec.load)
+    table = np.column_stack([positions, min_translational_stiffness(valid, stiffness), deflections])
     path = out / "stiffness_k_map.csv"
-    with open(path, "w", newline="") as handle:
-        handle.write("x,y,z,k_trans_min,deflection_norm\n")
-        for row, k_min, deflection in zip(positions, minimum_stiffness, deflections):
-            handle.write(
-                f"{_format(row[0])},{_format(row[1])},{_format(row[2])},"
-                f"{_format(float(k_min))},{_format(float(deflection))}\n"
-            )
+    _write_csv(path, ("x", "y", "z", "k_trans_min", "deflection_norm"), table.tolist())
     print(f"stiffness map written to {path}")
     return EXIT_OK
 
 
+def _design_problem(config: dict, resolution: int | None):
+    """The configured design problem and its preset's default Pareto weights
+    (or None); an orthoglide grid has ``resolution`` (default: coarse)."""
+    section = config["optimize"]
+    if section["preset"] != "orthoglide":
+        return analytic_preset(section["preset"])
+    problem = orthoglide_geometry_problem(
+        tuple(section["target"]),
+        tuple(section["sigma_range"]),
+        resolution=resolution or section["coarse_resolution"],
+        length_bounds=tuple(section["length_bounds"]),
+        span_bounds=tuple(section["span_bounds"]),
+    )
+    return problem, None
+
+
+def _starts(config: dict, seed: int | None, problem):
+    """The run's seed (``seed`` overrides the config's) and its LHS starts."""
+    seed = config["seed"] if seed is None else seed
+    rng = np.random.default_rng(seed)
+    return seed, latin_hypercube(problem.bounds, config["optimize"]["starts"], rng)
+
+
 def _run_optimize(config: dict, args):
     """Solve the configured design problem; returns the result payload."""
-    section = require_section(config, "optimize")
-    preset = section.get("preset", "orthoglide")
-    seed = args.seed if args.seed is not None else config["seed"]
-    rng = np.random.default_rng(seed)
-    budget = section.get("budget", 600)
-    n_starts = section.get("starts", 4)
-
+    section = config["optimize"]
+    preset = section["preset"]
+    problem, _ = _design_problem(config, args.resolution)
+    seed, starts = _starts(config, args.seed, problem)
+    result = goal_attain(problem, starts, budget=section["budget"])
+    extras = {"preset": preset}
     if preset == "orthoglide":
-        target = tuple(section["target"])
-        sigma_range = tuple(section["sigma_range"])
-        coarse = args.resolution or section.get("coarse_resolution", 16)
-        fine = section.get("fine_resolution", 64)
-        box = {
-            "length_bounds": tuple(section.get("length_bounds", (0.7, 3.0))),
-            "span_bounds": tuple(section.get("span_bounds", (0.4, 3.4))),
-        }
-        problem = orthoglide_geometry_problem(target, sigma_range, resolution=coarse, **box)
-        starts = latin_hypercube(problem.bounds, n_starts, rng)
-        result = goal_attain(problem, starts, budget=budget)
-        fine_problem = orthoglide_geometry_problem(target, sigma_range, resolution=fine, **box)
-        fine_margin = fine_problem.constraints[0].bound
-        fine_value = fine_problem.constraints[0].evaluate(result.pi_star)
-        extras = {
-            "preset": preset,
-            "target": list(target),
-            "sigma_range": list(sigma_range),
-            "leg_lengths": result.pi_star[:3],
-            "joint_spans": result.pi_star[3:],
-            "fine_resolution": fine,
-            "fine_constraint_value": fine_value,
-            "fine_constraint_margin": fine_margin,
-            "fine_feasible": bool(fine_value >= 0.0),
-        }
-    else:
-        problem, _ = analytic_preset(preset)
-        starts = latin_hypercube(problem.bounds, n_starts, rng)
-        result = goal_attain(problem, starts, budget=budget)
-        extras = {"preset": preset}
+        fine = section["fine_resolution"]
+        fine_constraint = _design_problem(config, fine)[0].constraints[0]
+        fine_value = fine_constraint.evaluate(result.pi_star)
+        extras.update(
+            {
+                "target": list(section["target"]),
+                "sigma_range": list(section["sigma_range"]),
+                "leg_lengths": result.pi_star[:3],
+                "joint_spans": result.pi_star[3:],
+                "fine_resolution": fine,
+                "fine_constraint_value": fine_value,
+                "fine_constraint_margin": fine_constraint.bound,
+                "fine_feasible": bool(fine_value >= 0.0),
+            }
+        )
 
     attainment = "over-attained" if result.lambda_star < 0 else "under-attained"
     if abs(result.lambda_star) <= 1e-12:
@@ -236,53 +232,27 @@ def cmd_optimize(config: dict, args) -> int:
 
 def cmd_pareto(config: dict, args) -> int:
     out = _out_dir(config, args)
-    section = require_section(config, "optimize")
-    preset = section.get("preset", "orthoglide")
-    seed = args.seed if args.seed is not None else config["seed"]
-    rng = np.random.default_rng(seed)
-    budget = section.get("budget", 600)
-    n_starts = section.get("starts", 4)
-
-    if preset == "orthoglide":
-        coarse = args.resolution or section.get("coarse_resolution", 16)
-        problem = orthoglide_geometry_problem(
-            tuple(section["target"]),
-            tuple(section["sigma_range"]),
-            resolution=coarse,
-            length_bounds=tuple(section.get("length_bounds", (0.7, 3.0))),
-            span_bounds=tuple(section.get("span_bounds", (0.4, 3.4))),
-        )
-        weights = section.get("pareto_weights")
-        if weights is None:
-            raise ConfigError("optimize.pareto_weights is required for the orthoglide pareto sweep")
-    else:
-        problem, default_weights = analytic_preset(preset)
-        weights = section.get("pareto_weights", default_weights)
-        if weights is None:
-            raise ConfigError(f"preset {preset!r} defines no default pareto weights")
-
-    starts = latin_hypercube(problem.bounds, n_starts, rng)
-    front = pareto_sweep(problem, [np.asarray(w) for w in weights], starts, budget=budget, threads=args.threads)
+    section = config["optimize"]
+    preset = section["preset"]
+    problem, default_weights = _design_problem(config, args.resolution)
+    weights = section.get("pareto_weights", default_weights)
+    if weights is None:
+        raise ConfigError(f"optimize.pareto_weights is required: preset {preset!r} has no default weights")
+    seed, starts = _starts(config, args.seed, problem)
+    front = pareto_sweep(
+        problem, [np.asarray(w) for w in weights], starts, budget=section["budget"], threads=args.threads
+    )
 
     if _wants(config, "csv"):
         n_obj = len(problem.objectives)
-        n_dim = problem.design_dim
-        with open(out / "pareto.csv", "w", newline="") as handle:
-            header = (
-                [f"w_{i}" for i in range(n_obj)]
-                + [f"pi_{i}" for i in range(n_dim)]
-                + [f"f_{i}" for i in range(n_obj)]
-                + ["lambda"]
-            )
-            handle.write(",".join(header) + "\n")
-            for point in front.points:
-                cells = (
-                    [_format(v) for v in point.weights]
-                    + [_format(v) for v in point.design]
-                    + [_format(v) for v in point.objectives]
-                    + [_format(point.attainment)]
-                )
-                handle.write(",".join(cells) + "\n")
+        header = (
+            [f"w_{i}" for i in range(n_obj)]
+            + [f"pi_{i}" for i in range(problem.design_dim)]
+            + [f"f_{i}" for i in range(n_obj)]
+            + ["lambda"]
+        )
+        rows = [[*p.weights, *p.design, *p.objectives, p.attainment] for p in front.points]
+        _write_csv(out / "pareto.csv", header, rows)
     _write_json(
         out / "pareto.json",
         {
@@ -333,10 +303,16 @@ def cmd_report(config: dict, args) -> int:
 
 
 def _out_dir(config: dict, args) -> Path:
-    directory = args.out or config.get("output", {}).get("directory", "out")
-    path = Path(directory)
+    path = Path(args.out or config["output"]["directory"])
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, criterion=False):
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", help="output directory (default: config output.directory)")
-        p.add_argument("--resolution", type=int, help="override the grid resolution N0")
+        p.add_argument("--resolution", type=positive_int, help="override the grid resolution N0 (>= 1)")
         if criterion:
             p.add_argument("--criterion", required=True, choices=CRITERIA)
         return p

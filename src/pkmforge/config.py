@@ -198,40 +198,36 @@ _DEFAULTS = {
 def default_config() -> dict:
     """A complete, runnable configuration for the symmetric reference design."""
     section = {"width": 0.025, "height": 0.025, "elastic_modulus": 7.0e10, "shear_modulus": 2.6e10}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": 20240101,
-        "geometry": {
-            "leg_lengths": [1.0, 1.0, 1.0],
-            "joint_limits": [[-1.9, -0.1], [-1.9, -0.1], [-1.9, -0.1]],
-            "assembly_signs": [-1, -1, -1],
-        },
-        "grid": {
-            "origin": [-0.75, -0.75, -0.75],
-            "proportions": [1.0, 1.0, 1.0],
-            "resolution": 32,
-            "dims": [49, 49, 49],
-        },
-        "kinematic": {"cond_max": 3.0, "sigma_range": None},
-        "stiffness": {
-            "actuator_stiffness": 1.0e8,
-            "foot_section": {**section, "width": 0.04, "height": 0.04},
-            "foot_length": 0.15,
-            "parallelogram_section": section,
-            "load": [0.0, 200.0, 0.0, 0.0, 0.0, 60.0],
-            "deflection_limit": 1.0e-4,
-        },
-        "dynamics": {
-            "joint_masses": [15.0, 15.0, 15.0],
-            "tcp_mass": 3.0,
-            "inertia_bound": 40.0,
-            "min_acceleration": 10.0,
-            "torque_limits": [250.0, 250.0, 250.0],
-            "acceleration_mode": "ball",
-        },
-        "optimize": dict(_DEFAULTS["optimize"]),
-        "output": {"directory": "out", "formats": ["csv", "json"]},
-    }
+    return _merge_defaults(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "geometry": {
+                "leg_lengths": [1.0, 1.0, 1.0],
+                "joint_limits": [[-1.9, -0.1], [-1.9, -0.1], [-1.9, -0.1]],
+            },
+            "grid": {
+                "origin": [-0.75, -0.75, -0.75],
+                "proportions": [1.0, 1.0, 1.0],
+                "resolution": 32,
+                "dims": [49, 49, 49],
+            },
+            "stiffness": {
+                "actuator_stiffness": 1.0e8,
+                "foot_section": {**section, "width": 0.04, "height": 0.04},
+                "foot_length": 0.15,
+                "parallelogram_section": section,
+                "load": [0.0, 200.0, 0.0, 0.0, 0.0, 60.0],
+                "deflection_limit": 1.0e-4,
+            },
+            "dynamics": {
+                "joint_masses": [15.0, 15.0, 15.0],
+                "tcp_mass": 3.0,
+                "inertia_bound": 40.0,
+                "min_acceleration": 10.0,
+                "torque_limits": [250.0, 250.0, 250.0],
+            },
+        }
+    )
 
 
 # sections that exist in every validated config, with defaults filled in;
@@ -240,16 +236,15 @@ _ALWAYS_PRESENT = ("kinematic", "optimize", "output")
 
 
 def _merge_defaults(config: dict) -> dict:
+    """A copy of ``config`` with ``_DEFAULTS`` filled in, sharing nothing with either."""
     merged = copy.deepcopy(config)
-    merged.setdefault("seed", _DEFAULTS["seed"])
-    for key in ("geometry", "kinematic", "dynamics", "optimize", "output"):
-        defaults = _DEFAULTS.get(key, {})
+    defaults = copy.deepcopy(_DEFAULTS)
+    merged.setdefault("seed", defaults.pop("seed"))
+    for key, section in defaults.items():
         if key in merged:
-            base = dict(defaults)
-            base.update(merged[key])
-            merged[key] = base
+            merged[key] = {**section, **merged[key]}
         elif key in _ALWAYS_PRESENT:
-            merged[key] = dict(defaults)
+            merged[key] = section
     return merged
 
 
@@ -287,18 +282,19 @@ def require_section(config: dict, name: str) -> dict:
 
 
 def build_geometry(config: dict) -> GeometryParams:
-    section = require_section(config, "geometry")
+    """Geometry from a validated config."""
+    section = config["geometry"]
     return GeometryParams(
         leg_lengths=section["leg_lengths"],
         joint_limits=section["joint_limits"],
-        assembly_signs=section.get("assembly_signs", [-1, -1, -1]),
+        assembly_signs=section["assembly_signs"],
     )
 
 
 def build_grid(config: dict, resolution: int | None = None) -> GridSpec:
-    """Grid from the config; an override resolution rescales the node counts
-    so the Cartesian extent is preserved."""
-    section = require_section(config, "grid")
+    """Grid from a validated config; an override resolution rescales the
+    node counts so the Cartesian extent is preserved."""
+    section = config["grid"]
     base_resolution = section["resolution"]
     dims = section["dims"]
     if resolution is not None and resolution != base_resolution:
@@ -315,6 +311,7 @@ def build_grid(config: dict, resolution: int | None = None) -> GridSpec:
 
 
 def build_stiffness(config: dict) -> tuple[OrthoglideStiffnessModel, StiffnessSpec]:
+    """Stiffness model and spec from a validated config with a stiffness section."""
     section = require_section(config, "stiffness")
     geometry = build_geometry(config)
 
@@ -338,12 +335,13 @@ def build_stiffness(config: dict) -> tuple[OrthoglideStiffnessModel, StiffnessSp
 
 
 def build_dynamics(config: dict) -> tuple[InertiaModel, DynamicSpec]:
+    """Inertia model and spec from a validated config with a dynamics section."""
     section = require_section(config, "dynamics")
     model = InertiaModel(joint_masses=section["joint_masses"], tcp_mass=section["tcp_mass"])
     spec = DynamicSpec(
         inertia_bound=section["inertia_bound"],
         min_acceleration=section["min_acceleration"],
         torque_limits=section["torque_limits"],
-        acceleration_mode=section.get("acceleration_mode", "ball"),
+        acceleration_mode=section["acceleration_mode"],
     )
     return model, spec

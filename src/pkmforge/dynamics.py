@@ -180,6 +180,8 @@ def acceleration_field(
     mode: str = "ball",
 ) -> ScalarField:
     """Field of the achievable acceleration magnitude per node."""
+    if mode not in ("ball", "max"):
+        raise ValueError(f"mode must be 'ball' or 'max', got {mode!r}")
     limits = np.asarray(torque_limits, dtype=float)
 
     def scalar(position):

@@ -359,32 +359,36 @@ class OrthoglideStiffnessModel:
 
     def batch_deflection(self, positions: np.ndarray, load):
         """Translational deflection norm under ``load`` over (N, 3) positions."""
-        f = np.asarray(load, dtype=float)
-        valid, stiffness = self.batch_cartesian_stiffness(positions)
-        n = stiffness.shape[0]
-        values = np.full(n, np.nan)
-        if not valid.any():
-            return valid, values
-        k_sub = stiffness[valid]
-        eigenvalues = np.linalg.eigvalsh(0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1))))
-        well = eigenvalues[:, 0] > eigenvalues[:, -1] / CONDITION_LIMIT
-        solvable = np.where(valid)[0][well]
-        if solvable.size:
-            rhs = np.tile(f.reshape(1, WRENCH_SIZE, 1), (solvable.size, 1, 1))
-            twists = np.linalg.solve(stiffness[solvable], rhs)[:, :, 0]
-            values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
-        valid = np.zeros_like(valid)
-        valid[solvable] = True
+        return translational_deflection(*self.batch_cartesian_stiffness(positions), load)
+
+
+def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
+    """Translational deflection norm under ``load`` for ``batch_cartesian_stiffness``'s
+    (valid, K); returns (solved, values), NaN where invalid or ill-conditioned."""
+    f = np.asarray(load, dtype=float)
+    values = np.full(stiffness.shape[0], np.nan)
+    if not valid.any():
         return valid, values
+    k_sub = stiffness[valid]
+    eigenvalues = np.linalg.eigvalsh(0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1))))
+    well = eigenvalues[:, 0] > eigenvalues[:, -1] / CONDITION_LIMIT
+    solvable = np.where(valid)[0][well]
+    if solvable.size:
+        rhs = np.tile(f.reshape(1, WRENCH_SIZE, 1), (solvable.size, 1, 1))
+        twists = np.linalg.solve(stiffness[solvable], rhs)[:, :, 0]
+        values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
+    solved = np.zeros_like(valid)
+    solved[solvable] = True
+    return solved, values
 
-    def batch_min_translational_stiffness(self, positions: np.ndarray):
-        """Smallest eigenvalue of the translational stiffness block per node."""
-        from ._spectral import sym_eigvals_3x3
 
-        valid, stiffness = self.batch_cartesian_stiffness(positions)
-        block = stiffness[:, :3, :3]
-        lows = sym_eigvals_3x3(0.5 * (block + np.transpose(block, (0, 2, 1))))[..., 0]
-        return valid, np.where(valid, lows, np.nan)
+def min_translational_stiffness(valid: np.ndarray, stiffness: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each translational 3x3 block; NaN where invalid."""
+    from ._spectral import sym_eigvals_3x3
+
+    block = stiffness[:, :3, :3]
+    lows = sym_eigvals_3x3(0.5 * (block + np.transpose(block, (0, 2, 1))))[..., 0]
+    return np.where(valid, lows, np.nan)
 
 
 def deflection_field(model: OrthoglideStiffnessModel, load) -> ScalarField:

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from pkmforge import kinematics
 from pkmforge.cli import main
 from pkmforge.config import default_config, validate_config
 from pkmforge.grid import load_mask
+from pkmforge.optimize import goal_attain, latin_hypercube, orthoglide_geometry_problem, pareto_sweep
+from pkmforge.stiffness import OrthoglideStiffnessModel
 
 
 def small_config(**overrides):
@@ -20,6 +23,13 @@ def small_config(**overrides):
     config["optimize"]["budget"] = 400
     for key, value in overrides.items():
         config[key] = value
+    return config
+
+
+def orthoglide_config(**optimize):
+    """The reference orthoglide design problem at a coarse 8 / fine 16 grid."""
+    config = default_config()
+    config["optimize"].update({"coarse_resolution": 8, "fine_resolution": 16, "budget": 40, "starts": 2, **optimize})
     return config
 
 
@@ -77,6 +87,24 @@ class TestConfigHandling:
     def test_default_config_validates(self):
         validated = validate_config(default_config())
         assert validated["seed"] == 20240101
+
+    def test_filled_defaults_are_not_shared(self):
+        default_config()["optimize"]["target"][0] = 9.0
+        bare = default_config()
+        del bare["optimize"], bare["output"]
+        validate_config(bare)["output"]["formats"].append("json")
+        assert default_config()["optimize"]["target"] == [1.0, 1.0, 0.8]
+        validated = validate_config(bare)
+        assert validated["optimize"]["target"] == [1.0, 1.0, 0.8]
+        assert validated["output"]["formats"] == ["csv", "json"]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["grid-eval", "cuboid", "stiffness-map", "optimize", "pareto", "report"])
+    def test_non_positive_resolution_rejected(self, tmp_path, command, value):
+        extra = ("--criterion", "kinematic") if command in ("grid-eval", "cuboid") else ()
+        with pytest.raises(SystemExit) as exit_info:
+            cli(tmp_path, orthoglide_config(), command, *extra, "--resolution", value)
+        assert exit_info.value.code == 2
 
 
 class TestGridEval:
@@ -141,7 +169,26 @@ class TestGridEval:
         assert (out / "kinematic_mask.npz").exists()
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestCuboid:
+    def test_kinematic_cuboid_sweeps_transmission_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, kinematics, "batch_transmission")
+        code, _ = cli(tmp_path, small_config(), "cuboid", "--criterion", "kinematic")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_zero_deflection_limit_yields_empty_result(self, tmp_path):
         config = small_config()
         config["stiffness"]["deflection_limit"] = 1e-300
@@ -172,6 +219,12 @@ class TestCuboid:
 
 
 class TestStiffnessMap:
+    def test_assembles_stiffness_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, OrthoglideStiffnessModel, "batch_cartesian_stiffness")
+        code, _ = cli(tmp_path, small_config(), "stiffness-map")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_columns_and_center_values(self, tmp_path):
         code, out = cli(tmp_path, small_config(), "stiffness-map")
         assert code == 0
@@ -232,6 +285,53 @@ class TestOptimize:
         lam_a = json.loads((out_a / "attainment.json").read_text())["lambda"]
         lam_b = json.loads((out_b / "attainment.json").read_text())["lambda"]
         assert abs(lam_a - lam_b) <= 1e-4
+
+
+class TestOrthoglide:
+    def direct_problem(self, config, resolution):
+        section = config["optimize"]
+        problem = orthoglide_geometry_problem(
+            tuple(section["target"]),
+            tuple(section["sigma_range"]),
+            resolution=resolution,
+            length_bounds=tuple(section["length_bounds"]),
+            span_bounds=tuple(section["span_bounds"]),
+        )
+        starts = latin_hypercube(problem.bounds, section["starts"], np.random.default_rng(config["seed"]))
+        return problem, starts
+
+    def test_optimize_matches_direct_goal_attain(self, tmp_path):
+        config = orthoglide_config()
+        code, out = cli(tmp_path, config, "optimize")
+        assert code == 0
+        payload = json.loads((out / "attainment.json").read_text())
+        problem, starts = self.direct_problem(config, 8)
+        result = goal_attain(problem, starts, budget=40)
+        assert result.feasible and payload["feasible"]
+        assert payload["design"] == result.pi_star.tolist()
+        assert payload["lambda"] == result.lambda_star
+        fine_problem, _ = self.direct_problem(config, 16)
+        assert payload["fine_resolution"] == 16
+        assert payload["fine_constraint_value"] == fine_problem.constraints[0].evaluate(result.pi_star)
+
+    def test_pareto_matches_direct_sweep(self, tmp_path):
+        weights = [[1.0, 1.0, 0.8], [1.0, 0.5, 0.8]]
+        config = orthoglide_config(pareto_weights=weights)
+        code, out = cli(tmp_path, config, "pareto")
+        assert code == 0
+        problem, starts = self.direct_problem(config, 8)
+        front = pareto_sweep(problem, [np.asarray(w) for w in weights], starts, budget=40)
+        lines = (out / "pareto.csv").read_text().splitlines()
+        assert lines[0] == "w_0,w_1,w_2,pi_0,pi_1,pi_2,pi_3,pi_4,pi_5,f_0,f_1,f_2,lambda"
+        table = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        expected = [[*p.weights, *p.design, *p.objectives, p.attainment] for p in front.points]
+        assert len(expected) > 0
+        assert table == expected
+
+    @pytest.mark.parametrize("preset", ["orthoglide", "symmetric_quadratics"])
+    def test_pareto_without_weights_is_config_error(self, tmp_path, preset):
+        code, _ = cli(tmp_path, orthoglide_config(preset=preset), "pareto")
+        assert code == 2
 
 
 class TestPareto:

@@ -238,6 +238,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             DynamicSpec(1.0, 1.0, [1, 1, 1], acceleration_mode="sometimes")
 
+    def test_acceleration_field_rejects_bad_mode(self, symmetric_geometry):
+        with pytest.raises(ValueError, match="bal"):
+            acceleration_field(symmetric_geometry, MODEL, SPEC.torque_limits, mode="bal")
+
     def test_fibonacci_sphere_is_unit_and_deterministic(self):
         a = fibonacci_sphere(256)
         b = fibonacci_sphere(256)
