@@ -29,7 +29,7 @@ from .config import (
 from .dynamics import acceleration_predicate, gie_predicate
 from .errors import Infeasible, PkmforgeError
 from .grid import evaluate_mask, largest_cuboid, save_mask
-from .kinematics import condition_field, transmission_predicate
+from .kinematics import transmission_predicate
 from .optimize import (
     analytic_preset,
     goal_attain,
@@ -93,8 +93,7 @@ def _criterion(config: dict, name: str):
             cond_max=section["cond_max"],
             sigma_range=tuple(sigma_range) if sigma_range else None,
         )
-        return condition_field(geometry), predicate
-    if name == "stiffness":
+    elif name == "stiffness":
         model, spec = build_stiffness(config)
         predicate = stiffness_predicate(model, spec)
     elif name == "gie":
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("report", help="run every configured criterion and write a report"))
     for p in (optimize, pareto):
         p.add_argument("--seed", type=int, help="override the config seed")
-    pareto.add_argument("--threads", type=int, default=1, help="worker threads for the weight sweep")
+    pareto.add_argument("--threads", type=positive_int, default=1, help="worker threads for the weight sweep")
     return parser
 
 

@@ -264,13 +264,18 @@ def _integral_image(data: np.ndarray) -> np.ndarray:
     """Zero-padded 3-D summed-area table: ``table[i, j, k]`` counts the true
     nodes in ``data[:i, :j, :k]``.
 
-    int32 holds any count below 2**31 nodes; larger masks use int64.
+    int32 holds any count below 2**31 nodes; larger masks use int64.  Only
+    the contiguous last axis takes a ``cumsum``; the other two are summed
+    plane by plane, which streams memory instead of striding across it.
     """
     dtype = np.int64 if data.size >= 2**31 else np.int32
     table = np.zeros(tuple(n + 1 for n in data.shape), dtype=dtype)
     table[1:, 1:, 1:] = data
-    for axis in range(3):
-        np.cumsum(table, axis=axis, out=table)
+    np.cumsum(table, axis=2, out=table)
+    for j in range(1, table.shape[1]):
+        table[:, j] += table[:, j - 1]
+    for i in range(1, table.shape[0]):
+        table[i] += table[i - 1]
     return table
 
 

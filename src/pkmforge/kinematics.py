@@ -304,6 +304,41 @@ def condition_field(geometry: GeometryParams):
     return ScalarField(scalar, batch)
 
 
+class _TransmissionPredicate:
+    """Conditioning predicate whose mask and condition-number ``field`` share
+    one ``batch_transmission`` sweep per position array."""
+
+    def __init__(self, geometry: GeometryParams, cond_max, sigma_range):
+        from .grid import ScalarField
+
+        latest = []  # [positions, batch_transmission result] of the latest sweep
+
+        def transmission(positions):
+            if not latest or latest[0] is not positions:
+                latest[:] = [positions, batch_transmission(positions, geometry)]
+            return latest[1]
+
+        def scalar(position):
+            return kinematic_sample(position, geometry).cond
+
+        # closures only, so nothing refers back to the predicate and a sweep
+        # is freed with it
+        self._transmission = transmission
+        self.field = ScalarField(scalar, lambda positions: transmission(positions)[1])
+        self.cond_max = cond_max
+        self.sigma_range = sigma_range
+
+    def batch(self, positions) -> np.ndarray:
+        valid, cond, sigma_min, sigma_max = self._transmission(positions)
+        with np.errstate(invalid="ignore"):
+            if self.cond_max is not None:
+                valid = valid & (cond <= self.cond_max)
+            if self.sigma_range is not None:
+                lo, hi = self.sigma_range
+                valid = valid & (sigma_min >= lo) & (sigma_max <= hi)
+        return valid
+
+
 def transmission_predicate(
     geometry: GeometryParams,
     cond_max: float | None = None,
@@ -314,19 +349,10 @@ def transmission_predicate(
 
     Feasible nodes are reachable and satisfy ``cond <= cond_max`` and/or
     ``sigma_range[0] <= sigma_min`` with ``sigma_max <= sigma_range[1]``.
-    At least one bound must be given.
+    At least one bound must be given.  The predicate's ``field`` is the
+    condition number; a mask and the field over the same position array
+    share one ``batch_transmission`` sweep.
     """
     if cond_max is None and sigma_range is None:
         raise ValueError("need cond_max, sigma_range, or both")
-
-    class _TransmissionPredicate:
-        def batch(self, positions) -> np.ndarray:
-            valid, cond, sigma_min, sigma_max = batch_transmission(positions, geometry)
-            with np.errstate(invalid="ignore"):
-                if cond_max is not None:
-                    valid = valid & (cond <= cond_max)
-                if sigma_range is not None:
-                    valid = valid & (sigma_min >= sigma_range[0]) & (sigma_max <= sigma_range[1])
-            return valid
-
-    return _TransmissionPredicate()
+    return _TransmissionPredicate(geometry, cond_max, sigma_range)

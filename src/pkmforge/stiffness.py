@@ -20,6 +20,7 @@ springs instead of externally identified parameters.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -34,6 +35,9 @@ from .kinematics import (
 )
 
 CONDITION_LIMIT = 1e12
+
+# rows per block of the threaded stiffness sweep
+SWEEP_BLOCK_ROWS = 2048
 
 # wrench/twist component ordering used everywhere: (x, y, z, rx, ry, rz)
 WRENCH_SIZE = 6
@@ -133,6 +137,32 @@ class StiffnessSpec:
         if not self.deflection_limit > 0.0:
             raise ValueError("deflection_limit must be positive")
         object.__setattr__(self, "load", f)
+
+
+def _sweep_blocks(n: int, work) -> None:
+    """Calls ``work(rows)`` with a slice per block of ``SWEEP_BLOCK_ROWS`` of
+    ``n`` rows, on a thread pool with a worker per CPU the process may run
+    on; inline when there is one block or one CPU.
+
+    ``work`` writes its rows' results in place and calls only numpy and
+    private helpers, none of the names ``bench/tracing.py`` wraps (its span
+    stack is single-threaded); numpy releases the GIL in its heavy kernels.
+    The first exception raised by a block propagates.
+    """
+    blocks = [slice(start, min(start + SWEEP_BLOCK_ROWS, n)) for start in range(0, n, SWEEP_BLOCK_ROWS)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(blocks))
+    if workers <= 1:
+        for rows in blocks:
+            work(rows)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, blocks))
 
 
 def chain_cartesian_stiffness(chain: ChainModel, condition_limit: float = CONDITION_LIMIT) -> CartesianStiffness:
@@ -321,23 +351,35 @@ class OrthoglideStiffnessModel:
         """Aggregated stiffness over (N, 3) positions.
 
         Returns (valid, K) with K of shape (N, 6, 6); rows where assembly or
-        inversion failed are flagged invalid.
+        inversion failed are flagged invalid.  IK runs once over all rows;
+        the per-leg assembly and inverse run per block of rows on every CPU
+        (see ``_sweep_blocks``), and no row's result depends on the blocking.
         """
         pts = np.asarray(positions, dtype=float)
-        valid, rho = batch_inverse_kinematics(pts, self.geometry)
+        reachable, rho = batch_inverse_kinematics(pts, self.geometry)
+        k_invs = [np.linalg.inv(self._spring_matrix(leg)) for leg in range(3)]
+        valid = reachable.copy()
+        total = np.zeros((pts.shape[0], WRENCH_SIZE, WRENCH_SIZE))
+
+        def block(rows):
+            self._block_stiffness(pts[rows], rho[rows], k_invs, valid[rows], total[rows])
+
+        _sweep_blocks(pts.shape[0], block)
+        return valid, total
+
+    def _block_stiffness(self, pts, rho, k_invs, valid, total) -> None:
+        """Sums the legs' Cartesian stiffness over one block of rows into
+        ``total`` (n, 6, 6) and clears ``valid`` (n,) where a leg fails;
+        ``k_invs`` are the legs' inverse spring matrices."""
         n = pts.shape[0]
-        total = np.zeros((n, WRENCH_SIZE, WRENCH_SIZE))
-        for leg in range(3):
+        size = WRENCH_SIZE + 2
+        for leg, k_inv in enumerate(k_invs):
             ok, j_virtual, j_passive = self._leg_jacobians(pts, rho, leg)
-            valid = valid & ok
-            k_inv = np.linalg.inv(self._spring_matrix(leg))
+            valid &= ok
             compliance = np.einsum("nij,jk,nlk->nil", j_virtual, k_inv, j_virtual)
-            # one leg's (N, 6, 13) Jacobian is the largest array of the sweep
-            del j_virtual
             scale = np.abs(compliance).max(axis=(1, 2))
-            valid = valid & np.isfinite(scale) & (scale > 0.0)
+            valid &= np.isfinite(scale) & (scale > 0.0)
             safe_scale = np.where(valid, scale, 1.0)
-            size = WRENCH_SIZE + 2
             block = np.zeros((n, size, size))
             block[:, :WRENCH_SIZE, :WRENCH_SIZE] = compliance / safe_scale[:, None, None]
             block[:, :WRENCH_SIZE, WRENCH_SIZE:] = j_passive
@@ -355,7 +397,6 @@ class OrthoglideStiffnessModel:
                         valid[row] = False
                         inverse[row] = np.eye(size)
             total += inverse[:, :WRENCH_SIZE, :WRENCH_SIZE] / safe_scale[:, None, None]
-        return valid, total
 
     def batch_deflection(self, positions: np.ndarray, load):
         """Translational deflection norm under ``load`` over (N, 3) positions."""
@@ -364,21 +405,26 @@ class OrthoglideStiffnessModel:
 
 def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
     """Translational deflection norm under ``load`` for ``batch_cartesian_stiffness``'s
-    (valid, K); returns (solved, values), NaN where invalid or ill-conditioned."""
+    (valid, K); returns (solved, values), NaN where invalid or ill-conditioned.
+    Runs per block of rows on every CPU, like the stiffness sweep."""
     f = np.asarray(load, dtype=float)
     values = np.full(stiffness.shape[0], np.nan)
-    if not valid.any():
-        return valid, values
-    k_sub = stiffness[valid]
-    eigenvalues = np.linalg.eigvalsh(0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1))))
-    well = eigenvalues[:, 0] > eigenvalues[:, -1] / CONDITION_LIMIT
-    solvable = np.where(valid)[0][well]
-    if solvable.size:
-        rhs = np.tile(f.reshape(1, WRENCH_SIZE, 1), (solvable.size, 1, 1))
-        twists = np.linalg.solve(stiffness[solvable], rhs)[:, :, 0]
-        values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
     solved = np.zeros_like(valid)
-    solved[solvable] = True
+
+    def block(rows):
+        solvable = np.flatnonzero(valid[rows]) + rows.start
+        if not solvable.size:
+            return
+        k_sub = stiffness[solvable]
+        eigenvalues = np.linalg.eigvalsh(0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1))))
+        solvable = solvable[eigenvalues[:, 0] > eigenvalues[:, -1] / CONDITION_LIMIT]
+        if solvable.size:
+            rhs = np.tile(f.reshape(1, WRENCH_SIZE, 1), (solvable.size, 1, 1))
+            twists = np.linalg.solve(stiffness[solvable], rhs)[:, :, 0]
+            values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
+            solved[solvable] = True
+
+    _sweep_blocks(stiffness.shape[0], block)
     return solved, values
 
 

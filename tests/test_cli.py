@@ -5,7 +5,7 @@ import pytest
 
 from pkmforge import kinematics
 from pkmforge.cli import main
-from pkmforge.config import default_config, validate_config
+from pkmforge.config import build_geometry, build_grid, default_config, validate_config
 from pkmforge.grid import load_mask
 from pkmforge.optimize import goal_attain, latin_hypercube, orthoglide_geometry_problem, pareto_sweep
 from pkmforge.stiffness import OrthoglideStiffnessModel
@@ -99,11 +99,20 @@ class TestConfigHandling:
         assert validated["output"]["formats"] == ["csv", "json"]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["grid-eval", "cuboid", "stiffness-map", "optimize", "pareto", "report"])
-    def test_non_positive_resolution_rejected(self, tmp_path, command, value):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *(
+                pytest.param(command, "--resolution", id=command)
+                for command in ("grid-eval", "cuboid", "stiffness-map", "optimize", "pareto", "report")
+            ),
+            pytest.param("pareto", "--threads", id="pareto---threads"),
+        ],
+    )
+    def test_non_positive_resolution_rejected(self, tmp_path, command, flag, value):
         extra = ("--criterion", "kinematic") if command in ("grid-eval", "cuboid") else ()
         with pytest.raises(SystemExit) as exit_info:
-            cli(tmp_path, orthoglide_config(), command, *extra, "--resolution", value)
+            cli(tmp_path, orthoglide_config(), command, *extra, flag, value)
         assert exit_info.value.code == 2
 
 
@@ -167,6 +176,20 @@ class TestGridEval:
         assert code == 0
         assert not (out / "kinematic_map.csv").exists()
         assert (out / "kinematic_mask.npz").exists()
+
+    @pytest.mark.parametrize("sigma_range", [None, [0.6, 1.8]])
+    def test_kinematic_map_sweeps_transmission_once(self, tmp_path, monkeypatch, sigma_range):
+        config = small_config()
+        config["kinematic"]["sigma_range"] = sigma_range
+        calls = count_calls(monkeypatch, kinematics, "batch_transmission")
+        code, out = cli(tmp_path, config, "grid-eval", "--criterion", "kinematic")
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        spec = build_grid(validate_config(config))
+        values = kinematics.condition_field(build_geometry(validate_config(config))).batch(spec.node_positions())
+        column = [line.split(",")[3] for line in (out / "kinematic_map.csv").read_text().splitlines()[1:]]
+        assert column == [f"{value:.17g}" for value in values]
 
 
 def count_calls(monkeypatch, owner, name):

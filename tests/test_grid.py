@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pkmforge.errors import DimensionMismatch, Infeasible, TooLarge
@@ -14,6 +14,7 @@ from pkmforge.grid import (
     GridSpec,
     ScalarField,
     ThresholdPredicate,
+    _integral_image,
     brute_force_cuboid,
     evaluate_mask,
     largest_cuboid,
@@ -230,6 +231,20 @@ class TestLargestCuboid:
             if mask.data[i - d : i + 1, j - d : j + 1, k - d : k + 1].all()
         )
         assert result.index_max == first
+
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.integers(1, 9)] * 3), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example((1, 5, 3), 0.5, 1)
+    @example((4, 1, 1), 0.5, 2)
+    def test_integral_image_matches_three_cumsums(self, dims, density, seed):
+        data = np.random.default_rng(seed).random(dims) < density
+        reference = np.zeros(tuple(n + 1 for n in dims), dtype=np.int32)
+        reference[1:, 1:, 1:] = data
+        for axis in range(3):
+            reference = np.cumsum(reference, axis=axis, dtype=np.int32)
+        table = _integral_image(data)
+        assert table.dtype == np.int32
+        assert np.array_equal(table, reference)
 
     def test_cart_extent_equals_mu_times_proportions(self):
         # exact binary arithmetic: origin, proportions and N0 are powers of two

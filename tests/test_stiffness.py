@@ -1,9 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from pkmforge import stiffness
 from pkmforge.errors import EmptyInput, SingularStiffness, SingularSystem
 from pkmforge.grid import GridSpec, ThresholdPredicate, evaluate_mask, nested_cuboids
 from pkmforge.kinematics import GeometryParams, is_reachable
@@ -262,6 +267,101 @@ class TestOrthoglideModel:
         field_stiff = deflection_field(stiffer, spec.load)
         p = [0.2, 0.15, -0.1]
         assert field_stiff(p) < field_soft(p)
+
+
+class TestBlockedSweep:
+    """The stiffness sweep runs per block of rows on a thread pool; no row's
+    bits may depend on the blocking or on the CPU count."""
+
+    # three full blocks and a ragged tail
+    BLOCK = stiffness.SWEEP_BLOCK_ROWS
+    TAIL = 77
+    ROWS = 3 * BLOCK + TAIL
+    # slice ends that cut across block boundaries
+    CUTS = (0, 1, BLOCK // 2, BLOCK + 1, 2 * BLOCK - 1, 3 * BLOCK - BLOCK // 3, ROWS)
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        # about three quarters of the rows are unreachable
+        return np.random.default_rng(7).uniform(-1.2, 1.2, size=(self.ROWS, 3))
+
+    @staticmethod
+    def sweep(points):
+        model, spec = default_model()
+        valid, k = model.batch_cartesian_stiffness(points)
+        solved, values = stiffness.translational_deflection(valid, k, spec.load)
+        return valid, k, solved, values
+
+    @staticmethod
+    def on_cpus(monkeypatch, count):
+        monkeypatch.setattr(stiffness.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    def assert_bitwise_equal(self, outputs, references):
+        for output, reference in zip(outputs, references):
+            assert output.dtype == reference.dtype
+            assert np.array_equal(output, reference, equal_nan=output.dtype.kind == "f")
+            assert output.tobytes() == reference.tobytes()
+
+    def test_blocks_match_slices_and_one_cpu_bitwise(self, points, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        threaded = self.sweep(points)
+        assert threaded[0].any() and not threaded[0].all()
+        assert threaded[2].any()
+        pieces = [self.sweep(points[lo:hi]) for lo, hi in zip(self.CUTS, self.CUTS[1:])]
+        self.assert_bitwise_equal(threaded, [np.concatenate(column) for column in zip(*pieces)])
+        self.on_cpus(monkeypatch, 1)
+        self.assert_bitwise_equal(threaded, self.sweep(points))
+
+    def test_many_small_blocks_on_more_workers_than_cores(self, points, monkeypatch):
+        self.on_cpus(monkeypatch, 1)
+        reference = self.sweep(points[:1000])
+        self.on_cpus(monkeypatch, 8)
+        monkeypatch.setattr(stiffness, "SWEEP_BLOCK_ROWS", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            stressed = self.sweep(points[:1000])
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - started < 60.0
+        self.assert_bitwise_equal(stressed, reference)
+
+    def test_failed_batched_inverse_falls_back_per_row_in_its_block(self, points, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        reference = self.sweep(points)
+        inv = np.linalg.inv
+        single_rows = []
+
+        def tail_batch_fails(a):
+            if a.ndim == 3 and a.shape[0] == self.TAIL:
+                raise np.linalg.LinAlgError("Singular matrix")
+            if a.ndim == 2:
+                single_rows.append(1)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", tail_batch_fails)
+        model, _ = default_model()
+        valid, k = model.batch_cartesian_stiffness(points)
+        monkeypatch.undo()
+        assert len(single_rows) == 3 + 3 * self.TAIL  # the spring matrices, then each leg of each tail row
+        self.assert_bitwise_equal((valid, k), reference[:2])
+
+    def test_programming_error_in_a_block_propagates(self, points, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        leg_jacobians = OrthoglideStiffnessModel._leg_jacobians
+        threads = set()
+
+        def broken_tail(self, pts, rho, leg):
+            threads.add(threading.current_thread())
+            if pts.shape[0] == TestBlockedSweep.TAIL:
+                raise TypeError("broken block")
+            return leg_jacobians(self, pts, rho, leg)
+
+        monkeypatch.setattr(OrthoglideStiffnessModel, "_leg_jacobians", broken_tail)
+        with pytest.raises(TypeError, match="broken block"):
+            self.sweep(points)
+        assert threading.main_thread() not in threads
 
 
 class TestStiffnessPredicate:
