@@ -1,8 +1,10 @@
 """Command-line orchestration: per-criterion grid maps, inscribed-cuboid
 metrics, the stiffness map, design optimization, and run reports.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric failure, 4 infeasible
-design problem.  The PKM_FORGE_LOG environment variable sets the log level.
+Exit codes: 0 ok, 2 configuration error (also a configured value that a
+model object rejects), 3 numeric failure, 4 infeasible design problem.  Any
+other exception, a ValueError included, propagates.  The PKM_FORGE_LOG
+environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .config import (
     build_geometry,
     build_grid,
     build_stiffness,
+    config_builder,
     load_config,
 )
 from .dynamics import acceleration_predicate, gie_predicate
@@ -82,6 +85,7 @@ def _wants(config: dict, fmt: str) -> bool:
     return fmt in config["output"]["formats"]
 
 
+@config_builder
 def _criterion(config: dict, name: str):
     """Value field and feasibility predicate for a named criterion."""
     geometry = build_geometry(config)
@@ -149,6 +153,7 @@ def cmd_stiffness_map(config: dict, args) -> int:
     return EXIT_OK
 
 
+@config_builder
 def _design_problem(config: dict, resolution: int | None):
     """The configured design problem and its preset's default Pareto weights
     (or None); an orthoglide grid has ``resolution`` (default: coarse)."""
@@ -369,7 +374,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (PkmforgeError, np.linalg.LinAlgError, ValueError) as exc:
+    except (PkmforgeError, np.linalg.LinAlgError) as exc:
         log.debug("numeric failure", exc_info=exc)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

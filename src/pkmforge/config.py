@@ -9,6 +9,7 @@ silently ignored.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 
 import jsonschema
@@ -281,6 +282,21 @@ def require_section(config: dict, name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def config_builder(build):
+    """``build`` with a ValueError, raised by a model object that rejects a
+    configured value the schema lets through, reported as a ConfigError."""
+
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"config value rejected: {exc}") from exc
+
+    return wrapper
+
+
+@config_builder
 def build_geometry(config: dict) -> GeometryParams:
     """Geometry from a validated config."""
     section = config["geometry"]
@@ -291,6 +307,7 @@ def build_geometry(config: dict) -> GeometryParams:
     )
 
 
+@config_builder
 def build_grid(config: dict, resolution: int | None = None) -> GridSpec:
     """Grid from a validated config; an override resolution rescales the
     node counts so the Cartesian extent is preserved."""
@@ -310,6 +327,7 @@ def build_grid(config: dict, resolution: int | None = None) -> GridSpec:
     )
 
 
+@config_builder
 def build_stiffness(config: dict) -> tuple[OrthoglideStiffnessModel, StiffnessSpec]:
     """Stiffness model and spec from a validated config with a stiffness section."""
     section = require_section(config, "stiffness")
@@ -334,6 +352,7 @@ def build_stiffness(config: dict) -> tuple[OrthoglideStiffnessModel, StiffnessSp
     return model, spec
 
 
+@config_builder
 def build_dynamics(config: dict) -> tuple[InertiaModel, DynamicSpec]:
     """Inertia model and spec from a validated config with a dynamics section."""
     section = require_section(config, "dynamics")

@@ -81,16 +81,6 @@ def generalized_inertia(jac: np.ndarray, inertia: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def fibonacci_sphere(count: int) -> np.ndarray:
-    """Deterministic, roughly uniform unit directions on the sphere."""
-    indices = np.arange(count, dtype=float)
-    z = 1.0 - 2.0 * (indices + 0.5) / count
-    radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    theta = golden * indices
-    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
-
-
 def _acceleration_generators(jac, inertia, torque_limits) -> np.ndarray:
     """Columns of J D^-1 scaled by the drive force limits."""
     jac = np.asarray(jac, dtype=float)
@@ -133,25 +123,30 @@ def min_achievable_acceleration(jac, inertia, torque_limits, mode: str = "ball")
     return float(support.min())
 
 
-def zonotope_support_minimum(generators: np.ndarray, directions: np.ndarray) -> float:
-    """Min over the given unit directions of the zonotope support function."""
-    return float(np.abs(directions @ np.asarray(generators, dtype=float)).sum(axis=1).min())
-
-
 # ---------------------------------------------------------------------------
 # grid fields and predicates
 # ---------------------------------------------------------------------------
 
 
 def _batch_dynamics(positions: np.ndarray, geometry: GeometryParams, model: InertiaModel):
-    """Vectorized reachability, rate matrices and joint-space inertias."""
-    valid, m = batch_rate_matrices(positions, geometry)
+    """Kept rows (see ``batch_rate_matrices``), their rate matrices and
+    joint-space inertias."""
+    rows, m = batch_rate_matrices(positions, geometry)
+    # einsum picks its summation loops by memory layout; row-major M keeps
+    # the sums below bitwise stable
+    m = np.ascontiguousarray(m)
     # J = inv(M), so J^T J = inv(M M^T); reflected tool inertia needs it
     gram = np.einsum("nij,nkj->nik", m, m)  # M M^T
-    safe = np.where(valid[:, None, None], gram, np.eye(3)[None])
-    jtj = np.linalg.inv(safe)
+    jtj = np.linalg.inv(gram)
     inertia = np.diag(model.joint_masses)[None] + model.tcp_mass * jtj
-    return valid, m, inertia
+    return rows, m, inertia
+
+
+def _scatter(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(n,) array of ``values`` at ``rows`` and NaN elsewhere."""
+    out = np.full(n, np.nan)
+    out[rows] = values
+    return out
 
 
 def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarField:
@@ -164,11 +159,10 @@ def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarF
         return float(sym_eigvals_3x3(g)[..., 2])
 
     def batch(positions):
-        valid, m, inertia = _batch_dynamics(positions, geometry, model)
+        rows, m, inertia = _batch_dynamics(positions, geometry, model)
         # G = J^-T D J^-1 = M^T D M
         g = np.einsum("nji,njk,nkl->nil", m, inertia, m)
-        top = sym_eigvals_3x3(g)[..., 2]
-        return np.where(valid, top, np.nan)
+        return _scatter(positions.shape[0], rows, sym_eigvals_3x3(g)[:, 2])
 
     return ScalarField(scalar, batch)
 
@@ -191,25 +185,23 @@ def acceleration_field(
         return min_achievable_acceleration(jac, inertia, limits, mode=mode)
 
     def batch(positions):
-        valid, m, inertia = _batch_dynamics(positions, geometry, model)
+        rows, m, inertia = _batch_dynamics(positions, geometry, model)
         # J D^-1 = (D M)^-1
         dm = np.einsum("nij,njk->nik", inertia, m)
-        safe = np.where(valid[:, None, None], dm, np.eye(3)[None])
-        transmission = np.linalg.inv(safe)
-        generators = transmission * limits[None, None, :]
+        generators = np.linalg.inv(dm) * limits[None, None, :]
         g0, g1, g2 = generators[:, :, 0], generators[:, :, 1], generators[:, :, 2]
         if mode == "max":
-            best = np.zeros(positions.shape[0])
+            best = np.zeros(rows.size)
             for s1 in (-1.0, 1.0):
                 for s2 in (-1.0, 1.0):
                     best = np.maximum(best, np.linalg.norm(g0 + s1 * g1 + s2 * g2, axis=1))
-            return np.where(valid, best, np.nan)
+            return _scatter(positions.shape[0], rows, best)
         normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)], axis=1)
         lengths = np.linalg.norm(normals, axis=2)
-        ok = valid & np.all(lengths > 0.0, axis=1)
+        ok = np.all(lengths > 0.0, axis=1)
         normals = normals / np.where(lengths > 0.0, lengths, 1.0)[:, :, None]
         support = np.abs(np.einsum("nfi,nij->nfj", normals, generators)).sum(axis=2)
-        return np.where(ok, support.min(axis=1), np.nan)
+        return _scatter(positions.shape[0], rows[ok], support.min(axis=1)[ok])
 
     return ScalarField(scalar, batch)
 

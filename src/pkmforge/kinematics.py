@@ -26,6 +26,9 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 DENOMINATOR_EPS = 1e-12
 CONDITION_LIMIT = 1e12
+# rows per batch_transmission block: a block's temporaries stay in cache,
+# and a 33^3 grid (35,937 nodes) is still one block
+TRANSMISSION_BLOCK_ROWS = 1 << 16
 
 
 def _vec3(value, name: str) -> np.ndarray:
@@ -244,24 +247,40 @@ def batch_inverse_kinematics(positions: np.ndarray, geometry: GeometryParams):
 
 
 def batch_rate_matrices(positions: np.ndarray, geometry: GeometryParams):
-    """Vectorized reachability plus the per-pose rate matrices ``M``.
+    """Vectorized reachability plus the rate matrices ``M`` of the kept rows.
 
-    Returns (valid, M) with M of shape (N, 3, 3).  ``valid`` is reachability
-    conjoined with a denominator guard; invalid rows of M are unusable.
+    Returns (rows, M).  ``rows`` holds, ascending, the indices of the
+    positions that are reachable and whose denominators ``p_i - rho_i`` all
+    pass the ``DENOMINATOR_EPS`` guard; ``M`` has shape (len(rows), 3, 3) and
+    row n is the rate matrix of position ``rows[n]``.  Every other position
+    has no rate matrix.  ``M`` is a view of a (3, 3, len(rows)) array, so
+    each entry's values are contiguous.
     """
     pts = np.asarray(positions, dtype=float)
     reachable, rho = batch_inverse_kinematics(pts, geometry)
-    n = pts.shape[0]
-    m = np.zeros((n, 3, 3))
-    valid = reachable.copy()
+    den = [pts[:, i] - rho[:, i] for i in range(3)]
+    kept = reachable.copy()
+    for d in den:
+        kept &= np.abs(d) >= DENOMINATOR_EPS
+    rows = np.flatnonzero(kept)
+    p = [pts[:, j].take(rows) for j in range(3)]
+    m = np.empty((3, 3, rows.size))
     for i, j, k in _CYCLIC:
-        den = pts[:, i] - rho[:, i]
-        valid &= np.abs(den) >= DENOMINATOR_EPS
-        safe = np.where(np.abs(den) >= DENOMINATOR_EPS, den, 1.0)
-        m[:, i, i] = 1.0
-        m[:, i, j] = pts[:, j] / safe
-        m[:, i, k] = pts[:, k] / safe
-    return valid, m
+        d = den[i].take(rows)
+        m[i, i] = 1.0
+        m[i, j] = p[j] / d
+        m[i, k] = p[k] / d
+    return rows, m.transpose(2, 0, 1)
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """``M^T M`` per row, each entry summed over j = 0, 1, 2 in that order;
+    like ``M``, a view of a (3, 3, N) array."""
+    gram = np.empty((3, 3, m.shape[0]))
+    for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        gram[a, b] = m[:, 0, a] * m[:, 0, b] + m[:, 1, a] * m[:, 1, b] + m[:, 2, a] * m[:, 2, b]
+        gram[b, a] = gram[a, b]
+    return gram.transpose(2, 0, 1)
 
 
 def batch_transmission(positions: np.ndarray, geometry: GeometryParams):
@@ -269,25 +288,28 @@ def batch_transmission(positions: np.ndarray, geometry: GeometryParams):
 
     Returns (valid, cond, sigma_min, sigma_max); entries at invalid rows are
     NaN.  The singular values of J are the reciprocals of those of M, so no
-    matrix inversion is needed here.
+    matrix inversion is needed here.  The positions are swept in blocks of
+    ``TRANSMISSION_BLOCK_ROWS``; in each, the Gram ``M^T M``, its
+    eigenvalues and the condition guard are computed elementwise on the
+    rows that ``batch_rate_matrices`` keeps, and the results are scattered
+    back.
     """
-    valid, m = batch_rate_matrices(positions, geometry)
-    gram = np.einsum("nji,njk->nik", m, m)
-    vals = sym_eigvals_3x3(gram)
-    lo_m, hi_m = vals[..., 0], vals[..., 2]
-    valid = valid & (lo_m > 0.0) & (hi_m / np.where(lo_m > 0.0, lo_m, 1.0) <= CONDITION_LIMIT**2)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma_min = 1.0 / np.sqrt(hi_m)
-        sigma_max = 1.0 / np.sqrt(lo_m)
-        cond = sigma_max / sigma_min
-    nan = np.full(positions.shape[0], np.nan)
-    return (
-        valid,
-        np.where(valid, cond, nan),
-        np.where(valid, sigma_min, nan),
-        np.where(valid, sigma_max, nan),
-    )
+    n = positions.shape[0]
+    valid = np.zeros(n, dtype=bool)
+    cond, sigma_min, sigma_max = (np.full(n, np.nan) for _ in range(3))
+    for start in range(0, n, TRANSMISSION_BLOCK_ROWS):
+        rows, m = batch_rate_matrices(positions[start : start + TRANSMISSION_BLOCK_ROWS], geometry)
+        vals = sym_eigvals_3x3(_gram(m))
+        lo_m, hi_m = vals[:, 0], vals[:, 2]
+        keep = (lo_m > 0.0) & (hi_m / np.where(lo_m > 0.0, lo_m, 1.0) <= CONDITION_LIMIT**2)
+        lo_m, hi_m, rows = lo_m[keep], hi_m[keep], rows[keep] + start
+        s_min = 1.0 / np.sqrt(hi_m)
+        s_max = 1.0 / np.sqrt(lo_m)
+        valid[rows] = True
+        cond[rows] = s_max / s_min
+        sigma_min[rows] = s_min
+        sigma_max[rows] = s_max
+    return valid, cond, sigma_min, sigma_max
 
 
 def condition_field(geometry: GeometryParams):

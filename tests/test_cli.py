@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pkmforge import cli as cli_module
 from pkmforge import kinematics
 from pkmforge.cli import main
 from pkmforge.config import build_geometry, build_grid, default_config, validate_config
@@ -114,6 +115,42 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exit_info:
             cli(tmp_path, orthoglide_config(), command, *extra, flag, value)
         assert exit_info.value.code == 2
+
+
+CRITERION = ("--criterion", "kinematic")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, section, values, extra",
+        [
+            pytest.param("grid-eval", "geometry", {"joint_limits": [[-0.1, -1.9]] * 3}, CRITERION, id="limits"),
+            pytest.param("cuboid", "kinematic", {"cond_max": None, "sigma_range": None}, CRITERION, id="no-bound"),
+            # --resolution 1 rescales the grid to one node per axis
+            pytest.param("stiffness-map", "grid", {"dims": [3, 3, 3]}, ("--resolution", "1"), id="dims"),
+            pytest.param("optimize", "optimize", {"sigma_range": [2.0, 0.5]}, (), id="sigma-range"),
+            pytest.param(
+                "pareto", "optimize", {"length_bounds": [3.0, 0.7], "pareto_weights": [[1, 1, 1]]}, (), id="bounds"
+            ),
+        ],
+    )
+    def test_rejected_config_value_is_config_error(self, tmp_path, capsys, command, section, values, extra):
+        # the schema accepts each of these values; the model objects reject them
+        config = orthoglide_config()
+        config[section].update(values)
+        code, _ = cli(tmp_path, config, command, *extra)
+        assert code == 2
+        assert "config value rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cuboid", "report"])
+    def test_planted_value_error_propagates(self, tmp_path, monkeypatch, command):
+        def planted(*args, **kwargs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cli_module, "largest_cuboid", planted)
+        extra = ("--criterion", "kinematic") if command == "cuboid" else ()
+        with pytest.raises(ValueError, match="planted"):
+            cli(tmp_path, small_config(), command, *extra)
 
 
 class TestGridEval:

@@ -7,17 +7,30 @@ from pkmforge.dynamics import (
     InertiaModel,
     acceleration_field,
     acceleration_predicate,
-    fibonacci_sphere,
     generalized_inertia,
     gie_predicate,
     inertia_norm_field,
     joint_space_inertia,
     min_achievable_acceleration,
-    zonotope_support_minimum,
 )
 from pkmforge.errors import SingularJacobian
 from pkmforge.grid import GridSpec, evaluate_mask, nested_cuboids
 from pkmforge.kinematics import inverse_kinematics, is_reachable, jacobian
+
+
+def fibonacci_sphere(count: int) -> np.ndarray:
+    """Deterministic, roughly uniform unit directions on the sphere."""
+    indices = np.arange(count, dtype=float)
+    z = 1.0 - 2.0 * (indices + 0.5) / count
+    radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    theta = golden * indices
+    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
+
+
+def zonotope_support_minimum(generators: np.ndarray, directions: np.ndarray) -> float:
+    """Min over the given unit directions of the zonotope support function."""
+    return float(np.abs(directions @ np.asarray(generators, dtype=float)).sum(axis=1).min())
 
 
 def random_spd(rng, scale=1.0):

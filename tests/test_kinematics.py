@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_reachable_points
 from pkmforge.errors import Infeasible, NoConvergence, Singular
@@ -55,6 +57,22 @@ class TestForwardKinematics:
             seed = p + rng.uniform(-0.02, 0.02, size=3)
             recovered = forward_kinematics(rho, symmetric_geometry, seed)
             assert np.linalg.norm(recovered - p) <= 1e-8
+
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(0.7, 3.0), min_size=3, max_size=3),
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+        st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+        st.tuples(*[st.floats(-0.02, 0.02)] * 3),
+    )
+    def test_round_trip_property(self, lengths, signs, unit_point, unit_offset):
+        # |p_j| <= 0.3 L_min keeps every leg well inside its reach, on either branch
+        lengths = np.array(lengths)
+        geometry = GeometryParams(lengths, [[-4.0 * lengths.max(), 4.0 * lengths.max()]] * 3, signs)
+        p = np.array(unit_point) * lengths.min()
+        rho = inverse_kinematics(p, geometry)
+        recovered = forward_kinematics(rho, geometry, p + np.array(unit_offset) * lengths.min())
+        assert np.linalg.norm(recovered - p) <= 1e-8 * lengths.max()
 
     def test_singular_seed_raises(self, symmetric_geometry):
         # at p = 0 the residual Jacobian row of a zeroed drive vanishes
@@ -154,6 +172,34 @@ class TestBatchConsistency:
             assert cond[idx] == pytest.approx(sample.cond, rel=1e-12)
             assert sigma_min[idx] == pytest.approx(sample.sigma_min, rel=1e-12)
             assert sigma_max[idx] == pytest.approx(sample.sigma_max, rel=1e-12)
+
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(0.7, 3.0), min_size=3, max_size=3),
+        st.lists(st.floats(0.4, 3.4), min_size=3, max_size=3),
+        st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=24),
+    )
+    def test_batch_rows_match_kinematic_sample_on_c7_designs(self, lengths, spans, unit_points):
+        # both sides take the extreme singular values from the eigenvalues of
+        # a Gram matrix (of M here, of J = inv(M) in kinematic_sample), whose
+        # smallest eigenvalue carries a relative error of order eps * cond^2
+        lengths, spans = np.array(lengths), np.array(spans)
+        lower = -lengths - spans / 2.0
+        geometry = GeometryParams(lengths, np.column_stack([lower, lower + spans]))
+        points = 0.6 * np.array(unit_points)  # a +-0.6 m box mixes kept and rejected rows
+        valid, cond, sigma_min, sigma_max = batch_transmission(points, geometry)
+        for row, p in enumerate(points):
+            try:
+                sample = kinematic_sample(p, geometry)
+            except (Infeasible, Singular):
+                assert not valid[row]
+                assert np.isnan([cond[row], sigma_min[row], sigma_max[row]]).all()
+                continue
+            assert valid[row]
+            rel = 1e-12 * sample.cond**2
+            assert cond[row] == pytest.approx(sample.cond, rel=rel)
+            assert sigma_min[row] == pytest.approx(sample.sigma_min, rel=rel)
+            assert sigma_max[row] == pytest.approx(sample.sigma_max, rel=rel)
 
     def test_unreachable_rows_are_nan(self, symmetric_geometry):
         points = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkmforge.errors import Infeasible
 from pkmforge.grid import GridSpec
@@ -146,6 +148,27 @@ class TestParetoFilter:
         assert once == twice
         reversed_kept = pareto_filter(points[::-1])
         assert {tuple(p.objectives) for p in once} == {tuple(p.objectives) for p in reversed_kept}
+
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                # exact ties and ties within the 1e-9 dominance tolerance
+                st.lists(
+                    st.sampled_from([0.0, 1.0, 1.0 + 5e-10, 2.0]) | st.floats(0.0, 2.0), min_size=dim, max_size=dim
+                ),
+                max_size=12,
+            )
+        ),
+        st.data(),
+    )
+    def test_filter_idempotent_and_order_independent_property(self, objectives, data):
+        points = [self.make_point(o) for o in objectives]
+        once = pareto_filter(points)
+        assert [id(p) for p in pareto_filter(once)] == [id(p) for p in once]
+        order = data.draw(st.permutations(range(len(points))))
+        shuffled = pareto_filter([points[i] for i in order])
+        assert sorted(map(id, shuffled)) == sorted(map(id, once))
 
     def test_ties_are_kept(self):
         a = self.make_point([1.0, 2.0])
