@@ -142,6 +142,25 @@ def _batch_dynamics(positions: np.ndarray, geometry: GeometryParams, model: Iner
     return rows, m, inertia
 
 
+def _felt_inertia(m: np.ndarray, inertia: np.ndarray) -> np.ndarray:
+    """Tool-felt inertias ``G = J^-T D J^-1 = M^T D M`` of (n, 3, 3) rate
+    matrices and joint-space inertias, bit for bit what
+    ``np.einsum("nji,njk,nkl->nil", M, D, M)`` gives with C-ordered inputs.
+
+    The same ordered loop as ``stiffness._compliance``: each entry is summed
+    from +0.0 with ``j`` outer and ``k`` inner, term by term
+    ``(M[n, j, i] * D[n, j, k]) * M[n, k, l]``, vectorised over the rows; D
+    varies per row, so no term is skipped.  Returns an (n, 3, 3) view.
+    """
+    mt = np.ascontiguousarray(np.transpose(m, (1, 2, 0)))  # (3, 3, n)
+    d = np.transpose(inertia, (1, 2, 0))
+    g = np.zeros((3, 3, m.shape[0]))
+    for j in range(3):
+        for k in range(3):
+            g += (mt[j][:, None] * d[j, k]) * mt[k][None]
+    return g.transpose(2, 0, 1)
+
+
 def _scatter(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """(n,) array of ``values`` at ``rows`` and NaN elsewhere."""
     out = np.full(n, np.nan)
@@ -160,9 +179,7 @@ def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarF
 
     def batch(positions):
         rows, m, inertia = _batch_dynamics(positions, geometry, model)
-        # G = J^-T D J^-1 = M^T D M
-        g = np.einsum("nji,njk,nkl->nil", m, inertia, m)
-        return _scatter(positions.shape[0], rows, sym_eigvals_3x3(g)[:, 2])
+        return _scatter(positions.shape[0], rows, sym_eigvals_3x3(_felt_inertia(m, inertia))[:, 2])
 
     return ScalarField(scalar, batch)
 

@@ -34,13 +34,14 @@ BRUTE_FORCE_DIM_GUARD = 16
 class _ValueSemantics:
     """Equality and hashing over a frozen dataclass's field values.
 
-    The generated ``__eq__``/``__hash__`` fail on array fields; here arrays
-    compare and hash as tuples of their elements.
+    The generated ``__eq__``/``__hash__`` fail on array fields; here an
+    array compares and hashes as its shape plus its flat elements, so
+    matrices work too.  Subclasses are dataclasses with ``eq=False``.
     """
 
     def _value_key(self) -> tuple:
         return tuple(
-            tuple(value.tolist()) if isinstance(value, np.ndarray) else value
+            (value.shape, tuple(value.ravel().tolist())) if isinstance(value, np.ndarray) else value
             for value in (getattr(self, f.name) for f in fields(self))
         )
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import Infeasible, PkmforgeError
-from .grid import GridSpec, evaluate_mask, largest_cuboid
+from .grid import GridSpec, _ValueSemantics, evaluate_mask, largest_cuboid
 from .kinematics import GeometryParams, transmission_predicate
 
 DEFAULT_BUDGET = 2000
@@ -52,9 +52,14 @@ class WorkspaceConstraint:
     bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoalProblem:
-    """Objectives with goals/weights, lower-bounded constraints, box bounds."""
+    """Objectives with goals/weights, lower-bounded constraints, box bounds.
+
+    A problem holds callables, which have no value to compare, so problems
+    compare and hash by identity: a problem equals only itself, and
+    ``with_weights`` returns a new, unequal one.
+    """
 
     objectives: tuple[Objective, ...]
     constraints: tuple[WorkspaceConstraint, ...]
@@ -104,8 +109,10 @@ class AttainmentResult:
     status: str  # "converged" or "budget_exhausted"
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
+@dataclass(frozen=True, eq=False)
+class ParetoPoint(_ValueSemantics):
+    """One solved weight vector; points compare and hash by value."""
+
     design: np.ndarray
     objectives: np.ndarray
     weights: np.ndarray

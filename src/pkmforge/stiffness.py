@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInput, Infeasible, SingularStiffness, SingularSystem
-from .grid import ScalarField, ThresholdPredicate
+from .grid import ScalarField, ThresholdPredicate, _ValueSemantics
 from .kinematics import (
     GeometryParams,
     batch_inverse_kinematics,
@@ -43,13 +43,15 @@ SWEEP_BLOCK_ROWS = 2048
 WRENCH_SIZE = 6
 
 
-@dataclass(frozen=True)
-class ChainModel:
+@dataclass(frozen=True, eq=False)
+class ChainModel(_ValueSemantics):
     """Per-chain Jacobians and spring matrix.
 
     j_virtual  (6, n_s) Jacobian of the sprung (virtual + active) joints
     j_passive  (6, n_p) Jacobian of the passive joints, n_p < 6
     k_virtual  (n_s, n_s) symmetric positive-definite spring matrix
+
+    Chains compare and hash by these three values.
     """
 
     j_virtual: np.ndarray
@@ -85,9 +87,10 @@ class ChainModel:
         return self.j_passive.shape[1]
 
 
-@dataclass(frozen=True)
-class CartesianStiffness:
-    """6x6 Cartesian stiffness, translations (x, y, z) then rotations."""
+@dataclass(frozen=True, eq=False)
+class CartesianStiffness(_ValueSemantics):
+    """6x6 Cartesian stiffness, translations (x, y, z) then rotations;
+    compares and hashes by value."""
 
     matrix: np.ndarray
 
@@ -123,9 +126,10 @@ class CrossSection:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class StiffnessSpec:
-    """External load and the admissible translational deflection."""
+@dataclass(frozen=True, eq=False)
+class StiffnessSpec(_ValueSemantics):
+    """External load and the admissible translational deflection; compares
+    and hashes by value."""
 
     load: np.ndarray
     deflection_limit: float
@@ -163,6 +167,26 @@ def _sweep_blocks(n: int, work) -> None:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, blocks))
+
+
+def _compliance(j_virtual: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
+    """Chain compliances ``J K^-1 J^T`` of (n, 6, m) Jacobians under one (m, m)
+    inverse spring matrix, bit for bit what ``np.einsum("nij,jk,nlk->nil",
+    J, K^-1, J)`` gives with C-ordered inputs (numpy 2.4).
+
+    Each entry is summed from +0.0 with ``j`` outer and ``k`` inner, term by
+    term ``(J[n, i, j] * K^-1[j, k]) * J[n, l, k]``: einsum's own order.  Terms
+    with ``K^-1[j, k] == 0`` (read at run time) are skipped without changing a
+    bit: under round-to-nearest a sum is -0 only when both addends are -0, so
+    an accumulator that starts at +0 never is, and adding a zero term (of
+    either sign, as J is finite) leaves it unchanged.  The loop runs over the
+    non-zero terms and vectorises over the rows; returns an (n, 6, 6) view.
+    """
+    jt = np.ascontiguousarray(np.transpose(j_virtual, (2, 1, 0)))  # (m, 6, n)
+    out = np.zeros((WRENCH_SIZE, WRENCH_SIZE, j_virtual.shape[0]))
+    for j, k in zip(*np.nonzero(k_inv)):  # C order: j outer, k inner
+        out += (jt[j][:, None] * k_inv[j, k]) * jt[k][None]
+    return out.transpose(2, 0, 1)
 
 
 def chain_cartesian_stiffness(chain: ChainModel, condition_limit: float = CONDITION_LIMIT) -> CartesianStiffness:
@@ -376,7 +400,7 @@ class OrthoglideStiffnessModel:
         for leg, k_inv in enumerate(k_invs):
             ok, j_virtual, j_passive = self._leg_jacobians(pts, rho, leg)
             valid &= ok
-            compliance = np.einsum("nij,jk,nlk->nil", j_virtual, k_inv, j_virtual)
+            compliance = _compliance(j_virtual, k_inv)
             scale = np.abs(compliance).max(axis=(1, 2))
             valid &= np.isfinite(scale) & (scale > 0.0)
             safe_scale = np.where(valid, scale, 1.0)

@@ -38,3 +38,11 @@ def sample_reachable_points(geometry, rng, count, box=0.45, sigma_min_floor=None
             continue
         points.append(p)
     return np.asarray(points)
+
+
+def signed_zero_values(rng, shape, zero_fraction):
+    """Normal values scaled over 16 decades (so sums round differently in
+    another order), with a ``zero_fraction`` of entries set to +0.0 or -0.0."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    return np.where(rng.random(shape) < zero_fraction, zeros, values)

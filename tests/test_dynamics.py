@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import sample_reachable_points
+from conftest import sample_reachable_points, signed_zero_values
+from pkmforge import dynamics
 from pkmforge.dynamics import (
     DynamicSpec,
     InertiaModel,
@@ -183,6 +186,43 @@ class TestFields:
     def test_unreachable_is_nan(self, symmetric_geometry):
         gie = inertia_norm_field(symmetric_geometry, MODEL)
         assert np.isnan(gie([5.0, 5.0, 5.0]))
+
+
+class TestOrderedFeltInertia:
+    """``_felt_inertia`` keeps every bit of the einsum it replaced, signed
+    zeros included, and so the inertia field does too."""
+
+    @staticmethod
+    def einsum(m, inertia):
+        return np.einsum("nji,njk,nkl->nil", m, inertia, m)
+
+    def assert_same_bits(self, m, inertia):
+        got = dynamics._felt_inertia(m, inertia)
+        reference = self.einsum(m, inertia)
+        assert got.shape == reference.shape
+        assert got.tobytes() == reference.tobytes()
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.sampled_from((0, 1, 7, 2048, 2049)),
+        seed=st.integers(0, 2**32 - 1),
+        m_zeros=st.floats(0.0, 0.6),
+        d_zeros=st.floats(0.0, 1.0),
+    )
+    def test_matches_einsum_bitwise_property(self, n, seed, m_zeros, d_zeros):
+        rng = np.random.default_rng(seed)
+        m = signed_zero_values(rng, (n, 3, 3), m_zeros)
+        self.assert_same_bits(m, signed_zero_values(rng, (n, 3, 3), d_zeros))
+
+    def test_field_matches_einsum_field_bitwise(self, symmetric_geometry, monkeypatch):
+        points = np.random.default_rng(13).uniform(-0.8, 0.8, size=(3000, 3))
+        rows, m, inertia = dynamics._batch_dynamics(points, symmetric_geometry, MODEL)
+        assert 0 < rows.size < points.shape[0]
+        self.assert_same_bits(m, inertia)
+        field = inertia_norm_field(symmetric_geometry, MODEL)
+        values = field.batch(points)
+        monkeypatch.setattr(dynamics, "_felt_inertia", self.einsum)
+        assert values.tobytes() == field.batch(points).tobytes()
 
 
 class TestPredicates:

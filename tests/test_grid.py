@@ -1,6 +1,6 @@
 import itertools
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from pkmforge.grid import (
     ScalarField,
     ThresholdPredicate,
     _integral_image,
+    _ValueSemantics,
     brute_force_cuboid,
     evaluate_mask,
     largest_cuboid,
@@ -60,6 +61,17 @@ class TestGridSpec:
         assert base != make_spec((3, 4, 5), proportions=(1.0, 1.0, 0.5))
         assert base != make_spec((3, 4, 5), origin=(0.0, 0.0, 0.1))
         assert base != (base.origin, base.proportions, base.resolution, base.dims)
+
+    def test_matrix_fields_key_on_shape_and_values(self):
+        @dataclass(frozen=True, eq=False)
+        class Holder(_ValueSemantics):
+            value: np.ndarray
+
+        square = Holder(np.arange(6.0).reshape(2, 3))
+        assert square == Holder(np.arange(6.0).reshape(2, 3))
+        assert hash(square) == hash(Holder(np.arange(6.0).reshape(2, 3)))
+        assert square != Holder(np.arange(6.0).reshape(3, 2))
+        assert square != Holder(np.arange(6.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

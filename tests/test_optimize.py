@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,17 @@ class TestParetoFilter:
             weights=np.asarray(weights, dtype=float),
             attainment=0.0,
         )
+
+    def test_points_compare_and_hash_by_value(self):
+        a = self.make_point([1.0, 2.0])
+        b = ParetoPoint(np.array([0.0]), np.array([1.0, 2.0]), np.array([0.5, 0.5]), attainment=0.0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != self.make_point([1.0, 2.5])
+        assert a != self.make_point([1.0, 2.0], weights=(0.25, 0.75))
+        assert a != replace(a, attainment=0.5)
+        assert a != replace(a, design=np.zeros((1, 1)))
 
     def test_dominated_point_removed(self):
         good = self.make_point([1.0, 2.0])
@@ -341,6 +354,17 @@ class TestProblemValidation:
                 constraints=(),
                 bounds=np.array([[1.0, 1.0]]),
             )
+
+
+class TestProblemIdentity:
+    def test_problems_compare_and_hash_by_identity(self):
+        problem, _ = analytic_preset("symmetric_quadratics")
+        assert problem == problem
+        assert len({problem, problem}) == 1
+        assert hash(problem) == hash(problem)
+        weights = [o.weight for o in problem.objectives]
+        assert problem.with_weights(weights) != problem
+        assert replace(problem) != problem
 
 
 class TestLatinHypercube:

@@ -8,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from conftest import signed_zero_values
+
 from pkmforge import stiffness
 from pkmforge.errors import EmptyInput, SingularStiffness, SingularSystem
 from pkmforge.grid import GridSpec, ThresholdPredicate, evaluate_mask, nested_cuboids
-from pkmforge.kinematics import GeometryParams, is_reachable
+from pkmforge.kinematics import GeometryParams, batch_inverse_kinematics, is_reachable
 from pkmforge.stiffness import (
     CartesianStiffness,
     ChainModel,
@@ -364,6 +366,62 @@ class TestBlockedSweep:
         assert threading.main_thread() not in threads
 
 
+class TestOrderedCompliance:
+    """``_compliance`` keeps every bit of the einsum it replaced, signed zeros
+    included, and so the sweep does too."""
+
+    @staticmethod
+    def einsum(j_virtual, k_inv):
+        return np.einsum("nij,jk,nlk->nil", j_virtual, k_inv, j_virtual)
+
+    def assert_same_bits(self, j_virtual, k_inv):
+        got = stiffness._compliance(j_virtual, k_inv)
+        reference = self.einsum(j_virtual, k_inv)
+        assert got.shape == reference.shape
+        assert got.tobytes() == reference.tobytes()
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.sampled_from((0, 1, 7, 2048, 2049)),
+        seed=st.integers(0, 2**32 - 1),
+        k_zeros=st.floats(0.0, 1.0),
+        j_zeros=st.floats(0.0, 0.6),
+    )
+    def test_matches_einsum_bitwise_property(self, n, seed, k_zeros, j_zeros):
+        rng = np.random.default_rng(seed)
+        k_inv = signed_zero_values(rng, (13, 13), k_zeros)
+        j_virtual = signed_zero_values(rng, (n, 6, 13), j_zeros)
+        self.assert_same_bits(j_virtual, k_inv)
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        # two full blocks and a ragged tail, most rows reachable
+        rows = 2 * stiffness.SWEEP_BLOCK_ROWS + 77
+        return np.random.default_rng(11).uniform(-0.6, 0.6, size=(rows, 3))
+
+    def test_real_leg_jacobians_bitwise(self, points):
+        model, _ = default_model()
+        reachable, rho = batch_inverse_kinematics(points, model.geometry)
+        assert reachable.any() and not reachable.all()
+        for leg in range(3):
+            k_inv = np.linalg.inv(model._spring_matrix(leg))
+            assert 0 < np.count_nonzero(k_inv) < k_inv.size
+            _, j_virtual, _ = model._leg_jacobians(points, rho, leg)
+            self.assert_same_bits(j_virtual, k_inv)
+            for start in range(0, points.shape[0], stiffness.SWEEP_BLOCK_ROWS):
+                rows = slice(start, start + stiffness.SWEEP_BLOCK_ROWS)
+                _, j_block, _ = model._leg_jacobians(points[rows], rho[rows], leg)
+                self.assert_same_bits(j_block, k_inv)
+
+    def test_sweep_matches_einsum_sweep_bitwise(self, points, monkeypatch):
+        model, _ = default_model()
+        valid, k = model.batch_cartesian_stiffness(points)
+        monkeypatch.setattr(stiffness, "_compliance", self.einsum)
+        reference_valid, reference_k = model.batch_cartesian_stiffness(points)
+        assert valid.tobytes() == reference_valid.tobytes()
+        assert k.tobytes() == reference_k.tobytes()
+
+
 class TestStiffnessPredicate:
     def test_infinite_limit_reduces_to_reachability(self):
         model, _ = default_model()
@@ -422,6 +480,37 @@ class TestTypeValidation:
     def test_cross_section_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             CrossSection(width=0.0, height=0.01, elastic_modulus=7e10, shear_modulus=2.6e10)
+
+
+class TestValueSemantics:
+    def test_chain_models_compare_and_hash_by_value(self, rng):
+        chain = random_chain(rng)
+        same = ChainModel(chain.j_virtual.tolist(), chain.j_passive.tolist(), chain.k_virtual.tolist())
+        assert chain == same
+        assert hash(chain) == hash(same)
+        assert len({chain, same}) == 1
+        bumped = chain.j_passive.copy()
+        bumped[5, 1] += 1e-3
+        assert chain != ChainModel(chain.j_virtual, bumped, chain.k_virtual)
+        assert chain != ChainModel(chain.j_virtual, chain.j_passive[:, :1], chain.k_virtual)
+        assert chain != (chain.j_virtual, chain.j_passive, chain.k_virtual)
+
+    def test_cartesian_stiffness_compares_and_hashes_by_value(self):
+        k = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        a = CartesianStiffness(k)
+        b = CartesianStiffness(k.tolist())
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != CartesianStiffness(2.0 * k)
+        assert a != CartesianStiffness(k.T[::-1, ::-1])
+
+    def test_spec_compares_and_hashes_by_value(self):
+        _, spec = default_model()
+        same = StiffnessSpec(load=list(spec.load), deflection_limit=spec.deflection_limit)
+        assert spec == same
+        assert hash(spec) == hash(same)
+        assert spec != StiffnessSpec(load=spec.load, deflection_limit=2 * spec.deflection_limit)
+        assert spec != StiffnessSpec(load=spec.load[::-1], deflection_limit=spec.deflection_limit)
 
 
 class TestCrossSectionStudy:
