@@ -20,6 +20,7 @@ from ._spectral import sym_eigvals_3x3
 from .errors import SingularJacobian
 from .grid import ScalarField, ThresholdPredicate
 from .kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, jacobian
+from .stiffness import _sweep_blocks
 
 _SIGMA_FLOOR = 1e-10
 
@@ -128,18 +129,16 @@ def min_achievable_acceleration(jac, inertia, torque_limits, mode: str = "ball")
 # ---------------------------------------------------------------------------
 
 
-def _batch_dynamics(positions: np.ndarray, geometry: GeometryParams, model: InertiaModel):
-    """Kept rows (see ``batch_rate_matrices``), their rate matrices and
-    joint-space inertias."""
-    rows, m = batch_rate_matrices(positions, geometry)
+def _joint_inertias(m: np.ndarray, model: InertiaModel):
+    """C-ordered copies of (n, 3, 3) rate matrices and their joint-space
+    inertias ``D = diag(m) + m_tcp (M M^T)^-1``."""
     # einsum picks its summation loops by memory layout; row-major M keeps
     # the sums below bitwise stable
     m = np.ascontiguousarray(m)
     # J = inv(M), so J^T J = inv(M M^T); reflected tool inertia needs it
     gram = np.einsum("nij,nkj->nik", m, m)  # M M^T
     jtj = np.linalg.inv(gram)
-    inertia = np.diag(model.joint_masses)[None] + model.tcp_mass * jtj
-    return rows, m, inertia
+    return m, np.diag(model.joint_masses)[None] + model.tcp_mass * jtj
 
 
 def _felt_inertia(m: np.ndarray, inertia: np.ndarray) -> np.ndarray:
@@ -161,6 +160,28 @@ def _felt_inertia(m: np.ndarray, inertia: np.ndarray) -> np.ndarray:
     return g.transpose(2, 0, 1)
 
 
+def _acceleration(m: np.ndarray, inertia: np.ndarray, limits: np.ndarray, mode: str) -> np.ndarray:
+    """Acceleration magnitude per row of rate matrices and joint-space
+    inertias (see ``min_achievable_acceleration``); NaN where, in 'ball'
+    mode, a facet normal vanishes."""
+    # J D^-1 = (D M)^-1
+    dm = np.einsum("nij,njk->nik", inertia, m)
+    generators = np.linalg.inv(dm) * limits[None, None, :]
+    g0, g1, g2 = generators[:, :, 0], generators[:, :, 1], generators[:, :, 2]
+    if mode == "max":
+        best = np.zeros(m.shape[0])
+        for s1 in (-1.0, 1.0):
+            for s2 in (-1.0, 1.0):
+                best = np.maximum(best, np.linalg.norm(g0 + s1 * g1 + s2 * g2, axis=1))
+        return best
+    normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)], axis=1)
+    lengths = np.linalg.norm(normals, axis=2)
+    ok = np.all(lengths > 0.0, axis=1)
+    normals = normals / np.where(lengths > 0.0, lengths, 1.0)[:, :, None]
+    support = np.abs(np.einsum("nfi,nij->nfj", normals, generators)).sum(axis=2)
+    return np.where(ok, support.min(axis=1), np.nan)
+
+
 def _scatter(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """(n,) array of ``values`` at ``rows`` and NaN elsewhere."""
     out = np.full(n, np.nan)
@@ -169,7 +190,11 @@ def _scatter(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarField:
-    """Field of the spectral norm of the tool-felt inertia."""
+    """Field of the spectral norm of the tool-felt inertia.
+
+    The rate matrices come from one ``batch_rate_matrices`` call; the
+    inertias and felt inertias of the kept rows run per block on every CPU
+    (``stiffness._sweep_blocks``), and their eigenvalues once, gathered."""
 
     def scalar(position):
         rho = inverse_kinematics(position, geometry)
@@ -178,8 +203,16 @@ def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarF
         return float(sym_eigvals_3x3(g)[..., 2])
 
     def batch(positions):
-        rows, m, inertia = _batch_dynamics(positions, geometry, model)
-        return _scatter(positions.shape[0], rows, sym_eigvals_3x3(_felt_inertia(m, inertia))[:, 2])
+        rows, m = batch_rate_matrices(positions, geometry)
+        # (n, 3, 3) view of a (3, 3, n) array: sym_eigvals_3x3 reads each
+        # entry contiguously, as from _felt_inertia's own result
+        felt = np.empty((3, 3, rows.size)).transpose(2, 0, 1)
+
+        def block(kept):
+            felt[kept] = _felt_inertia(*_joint_inertias(m[kept], model))
+
+        _sweep_blocks(rows.size, block)
+        return _scatter(positions.shape[0], rows, sym_eigvals_3x3(felt)[:, 2])
 
     return ScalarField(scalar, batch)
 
@@ -190,7 +223,10 @@ def acceleration_field(
     torque_limits,
     mode: str = "ball",
 ) -> ScalarField:
-    """Field of the achievable acceleration magnitude per node."""
+    """Field of the achievable acceleration magnitude per node.
+
+    The rate matrices come from one ``batch_rate_matrices`` call; the rest
+    runs per block of kept rows on every CPU (``stiffness._sweep_blocks``)."""
     if mode not in ("ball", "max"):
         raise ValueError(f"mode must be 'ball' or 'max', got {mode!r}")
     limits = np.asarray(torque_limits, dtype=float)
@@ -202,23 +238,14 @@ def acceleration_field(
         return min_achievable_acceleration(jac, inertia, limits, mode=mode)
 
     def batch(positions):
-        rows, m, inertia = _batch_dynamics(positions, geometry, model)
-        # J D^-1 = (D M)^-1
-        dm = np.einsum("nij,njk->nik", inertia, m)
-        generators = np.linalg.inv(dm) * limits[None, None, :]
-        g0, g1, g2 = generators[:, :, 0], generators[:, :, 1], generators[:, :, 2]
-        if mode == "max":
-            best = np.zeros(rows.size)
-            for s1 in (-1.0, 1.0):
-                for s2 in (-1.0, 1.0):
-                    best = np.maximum(best, np.linalg.norm(g0 + s1 * g1 + s2 * g2, axis=1))
-            return _scatter(positions.shape[0], rows, best)
-        normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)], axis=1)
-        lengths = np.linalg.norm(normals, axis=2)
-        ok = np.all(lengths > 0.0, axis=1)
-        normals = normals / np.where(lengths > 0.0, lengths, 1.0)[:, :, None]
-        support = np.abs(np.einsum("nfi,nij->nfj", normals, generators)).sum(axis=2)
-        return _scatter(positions.shape[0], rows[ok], support.min(axis=1)[ok])
+        rows, m = batch_rate_matrices(positions, geometry)
+        values = np.empty(rows.size)
+
+        def block(kept):
+            values[kept] = _acceleration(*_joint_inertias(m[kept], model), limits, mode)
+
+        _sweep_blocks(rows.size, block)
+        return _scatter(positions.shape[0], rows, values)
 
     return ScalarField(scalar, batch)
 

@@ -148,10 +148,13 @@ def _sweep_blocks(n: int, work) -> None:
     ``n`` rows, on a thread pool with a worker per CPU the process may run
     on; inline when there is one block or one CPU.
 
-    ``work`` writes its rows' results in place and calls only numpy and
-    private helpers, none of the names ``bench/tracing.py`` wraps (its span
-    stack is single-threaded); numpy releases the GIL in its heavy kernels.
-    The first exception raised by a block propagates.
+    The stiffness sweep, the deflection solve and the dynamics fields'
+    per-row algebra run on it.  ``work`` writes its rows' results in place
+    and calls only numpy and private helpers, none of the names
+    ``bench/tracing.py`` wraps (its span stack is single-threaded), so a
+    traced name such as ``sym_eigvals_3x3`` runs in the calling thread on the
+    gathered results; numpy releases the GIL in its heavy kernels.  The
+    first exception raised by a block propagates.
     """
     blocks = [slice(start, min(start + SWEEP_BLOCK_ROWS, n)) for start in range(0, n, SWEEP_BLOCK_ROWS)]
     try:
@@ -175,17 +178,25 @@ def _compliance(j_virtual: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
     J, K^-1, J)`` gives with C-ordered inputs (numpy 2.4).
 
     Each entry is summed from +0.0 with ``j`` outer and ``k`` inner, term by
-    term ``(J[n, i, j] * K^-1[j, k]) * J[n, l, k]``: einsum's own order.  Terms
-    with ``K^-1[j, k] == 0`` (read at run time) are skipped without changing a
-    bit: under round-to-nearest a sum is -0 only when both addends are -0, so
-    an accumulator that starts at +0 never is, and adding a zero term (of
-    either sign, as J is finite) leaves it unchanged.  The loop runs over the
-    non-zero terms and vectorises over the rows; returns an (n, 6, 6) view.
+    term ``(J[n, i, j] * K^-1[j, k]) * J[n, l, k]``: einsum's own order.  Zero
+    terms are skipped without changing a bit: under round-to-nearest a sum is
+    -0 only when both addends are -0, so an accumulator that starts at +0
+    never is, and adding a zero term (of either sign, as J and K^-1 are
+    finite) leaves it unchanged.  Two kinds are skipped, both read at run
+    time: every ``(j, k)`` with ``K^-1[j, k] == 0``, and, within a column
+    ``j``, the rows ``i`` at and after ``r_j``, its last non-zero row over the
+    whole input plus one, so that ``(j, k)`` updates only
+    ``out[:r_j, :r_k]`` (the Orthoglide's translation-only springs have zero
+    rotation rows).  The loop runs over the non-zero terms and vectorises
+    over the rows; returns an (n, 6, 6) view.
     """
     jt = np.ascontiguousarray(np.transpose(j_virtual, (2, 1, 0)))  # (m, 6, n)
+    # one past each column's last non-zero row, 0 for an all-zero column
+    ends = (jt.any(axis=2) * np.arange(1, WRENCH_SIZE + 1)).max(axis=1)
     out = np.zeros((WRENCH_SIZE, WRENCH_SIZE, j_virtual.shape[0]))
     for j, k in zip(*np.nonzero(k_inv)):  # C order: j outer, k inner
-        out += (jt[j][:, None] * k_inv[j, k]) * jt[k][None]
+        r_j, r_k = ends[j], ends[k]
+        out[:r_j, :r_k] += (jt[j, :r_j][:, None] * k_inv[j, k]) * jt[k, :r_k][None]
     return out.transpose(2, 0, 1)
 
 
@@ -374,29 +385,41 @@ class OrthoglideStiffnessModel:
     def batch_cartesian_stiffness(self, positions: np.ndarray):
         """Aggregated stiffness over (N, 3) positions.
 
-        Returns (valid, K) with K of shape (N, 6, 6); rows where assembly or
-        inversion failed are flagged invalid.  IK runs once over all rows;
-        the per-leg assembly and inverse run per block of rows on every CPU
-        (see ``_sweep_blocks``), and no row's result depends on the blocking.
+        Returns (valid, K) with K of shape (N, 6, 6); rows that are out of
+        reach, or where assembly or inversion failed, are flagged invalid
+        and their K is exactly zero.  IK runs once over all rows; the
+        per-leg assembly and inverse run only on the reachable rows, packed
+        together, per block of them on every CPU (see ``_sweep_blocks``),
+        and are scattered back.  No row's result depends on the blocking.
         """
         pts = np.asarray(positions, dtype=float)
         reachable, rho = batch_inverse_kinematics(pts, self.geometry)
+        rows = np.flatnonzero(reachable)
         k_invs = [np.linalg.inv(self._spring_matrix(leg)) for leg in range(3)]
-        valid = reachable.copy()
+        ok = np.ones(rows.size, dtype=bool)
+        packed = np.zeros((rows.size, WRENCH_SIZE, WRENCH_SIZE))
+
+        def block(kept):
+            at = rows[kept]
+            self._block_stiffness(pts[at], rho[at], k_invs, ok[kept], packed[kept])
+
+        _sweep_blocks(rows.size, block)
+        packed[~ok] = 0.0
+        valid = np.zeros(pts.shape[0], dtype=bool)
+        valid[rows] = ok
         total = np.zeros((pts.shape[0], WRENCH_SIZE, WRENCH_SIZE))
-
-        def block(rows):
-            self._block_stiffness(pts[rows], rho[rows], k_invs, valid[rows], total[rows])
-
-        _sweep_blocks(pts.shape[0], block)
+        total[rows] = packed
         return valid, total
 
     def _block_stiffness(self, pts, rho, k_invs, valid, total) -> None:
         """Sums the legs' Cartesian stiffness over one block of rows into
         ``total`` (n, 6, 6) and clears ``valid`` (n,) where a leg fails;
-        ``k_invs`` are the legs' inverse spring matrices."""
+        ``k_invs`` are the legs' inverse spring matrices.  The upper-left 6x6
+        block of each block system's inverse comes from one LU solve against
+        the first six columns of the identity."""
         n = pts.shape[0]
         size = WRENCH_SIZE + 2
+        columns = np.eye(size)[:, :WRENCH_SIZE]
         for leg, k_inv in enumerate(k_invs):
             ok, j_virtual, j_passive = self._leg_jacobians(pts, rho, leg)
             valid &= ok
@@ -408,19 +431,19 @@ class OrthoglideStiffnessModel:
             block[:, :WRENCH_SIZE, :WRENCH_SIZE] = compliance / safe_scale[:, None, None]
             block[:, :WRENCH_SIZE, WRENCH_SIZE:] = j_passive
             block[:, WRENCH_SIZE:, :WRENCH_SIZE] = np.transpose(j_passive, (0, 2, 1))
-            # keep invalid rows invertible so the batched inverse cannot throw
+            # keep invalid rows invertible so the batched solve cannot throw
             block[~valid] = np.eye(size)
             try:
-                inverse = np.linalg.inv(block)
+                inverse = np.linalg.solve(block, columns)
             except np.linalg.LinAlgError:
-                inverse = np.empty_like(block)
+                inverse = np.empty((n, size, WRENCH_SIZE))
                 for row in range(n):
                     try:
-                        inverse[row] = np.linalg.inv(block[row])
+                        inverse[row] = np.linalg.solve(block[row], columns)
                     except np.linalg.LinAlgError:
                         valid[row] = False
-                        inverse[row] = np.eye(size)
-            total += inverse[:, :WRENCH_SIZE, :WRENCH_SIZE] / safe_scale[:, None, None]
+                        inverse[row] = columns
+            total += inverse[:, :WRENCH_SIZE] / safe_scale[:, None, None]
 
     def batch_deflection(self, positions: np.ndarray, load):
         """Translational deflection norm under ``load`` over (N, 3) positions."""

@@ -1,10 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_reachable_points, signed_zero_values
-from pkmforge import dynamics
+from pkmforge import dynamics, stiffness
+from pkmforge._spectral import sym_eigvals_3x3
 from pkmforge.dynamics import (
     DynamicSpec,
     InertiaModel,
@@ -18,7 +21,7 @@ from pkmforge.dynamics import (
 )
 from pkmforge.errors import SingularJacobian
 from pkmforge.grid import GridSpec, evaluate_mask, nested_cuboids
-from pkmforge.kinematics import inverse_kinematics, is_reachable, jacobian
+from pkmforge.kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, is_reachable, jacobian
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -50,6 +53,53 @@ def random_invertible(rng):
 
 MODEL = InertiaModel(joint_masses=[15.0, 15.0, 15.0], tcp_mass=3.0)
 SPEC = DynamicSpec(inertia_bound=40.0, min_acceleration=10.0, torque_limits=[250.0, 250.0, 250.0])
+
+
+# ---------------------------------------------------------------------------
+# whole-array oracle: the fields' per-row algebra on all kept rows at once
+# ---------------------------------------------------------------------------
+
+
+def batch_dynamics(positions, geometry, model):
+    """Kept rows (see ``batch_rate_matrices``), their rate matrices and
+    joint-space inertias."""
+    rows, m = batch_rate_matrices(positions, geometry)
+    m = np.ascontiguousarray(m)
+    gram = np.einsum("nij,nkj->nik", m, m)  # M M^T
+    jtj = np.linalg.inv(gram)
+    inertia = np.diag(model.joint_masses)[None] + model.tcp_mass * jtj
+    return rows, m, inertia
+
+
+def scatter(n, rows, values):
+    out = np.full(n, np.nan)
+    out[rows] = values
+    return out
+
+
+def whole_array_inertia_norm(positions, geometry, model):
+    rows, m, inertia = batch_dynamics(positions, geometry, model)
+    felt = np.einsum("nji,njk,nkl->nil", m, inertia, m)
+    return scatter(positions.shape[0], rows, sym_eigvals_3x3(felt)[:, 2])
+
+
+def whole_array_acceleration(positions, geometry, model, limits, mode):
+    rows, m, inertia = batch_dynamics(positions, geometry, model)
+    dm = np.einsum("nij,njk->nik", inertia, m)
+    generators = np.linalg.inv(dm) * limits[None, None, :]
+    g0, g1, g2 = generators[:, :, 0], generators[:, :, 1], generators[:, :, 2]
+    if mode == "max":
+        best = np.zeros(rows.size)
+        for s1 in (-1.0, 1.0):
+            for s2 in (-1.0, 1.0):
+                best = np.maximum(best, np.linalg.norm(g0 + s1 * g1 + s2 * g2, axis=1))
+        return scatter(positions.shape[0], rows, best)
+    normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)], axis=1)
+    lengths = np.linalg.norm(normals, axis=2)
+    ok = np.all(lengths > 0.0, axis=1)
+    normals = normals / np.where(lengths > 0.0, lengths, 1.0)[:, :, None]
+    support = np.abs(np.einsum("nfi,nij->nfj", normals, generators)).sum(axis=2)
+    return scatter(positions.shape[0], rows[ok], support.min(axis=1)[ok])
 
 
 class TestGeneralizedInertia:
@@ -216,13 +266,100 @@ class TestOrderedFeltInertia:
 
     def test_field_matches_einsum_field_bitwise(self, symmetric_geometry, monkeypatch):
         points = np.random.default_rng(13).uniform(-0.8, 0.8, size=(3000, 3))
-        rows, m, inertia = dynamics._batch_dynamics(points, symmetric_geometry, MODEL)
+        rows, m, inertia = batch_dynamics(points, symmetric_geometry, MODEL)
         assert 0 < rows.size < points.shape[0]
         self.assert_same_bits(m, inertia)
         field = inertia_norm_field(symmetric_geometry, MODEL)
         values = field.batch(points)
         monkeypatch.setattr(dynamics, "_felt_inertia", self.einsum)
         assert values.tobytes() == field.batch(points).tobytes()
+
+
+class TestBlockedFields:
+    """The fields' per-row algebra runs per block of kept rows on the sweep's
+    threads; every bit matches the whole-array oracle on any CPU count."""
+
+    GEOMETRY = GeometryParams([1.0, 1.0, 1.0], [[-1.9, -0.1]] * 3)
+    UNEQUAL = InertiaModel(joint_masses=[15.0, 12.0, 18.0], tcp_mass=3.0)
+    LIMITS = np.array([250.0, 200.0, 300.0])
+
+    @classmethod
+    def fields(cls):
+        return {
+            "gie": inertia_norm_field(cls.GEOMETRY, cls.UNEQUAL),
+            "ball": acceleration_field(cls.GEOMETRY, cls.UNEQUAL, cls.LIMITS, "ball"),
+            "max": acceleration_field(cls.GEOMETRY, cls.UNEQUAL, cls.LIMITS, "max"),
+        }
+
+    @classmethod
+    def oracles(cls, points):
+        return {
+            "gie": whole_array_inertia_norm(points, cls.GEOMETRY, cls.UNEQUAL),
+            "ball": whole_array_acceleration(points, cls.GEOMETRY, cls.UNEQUAL, cls.LIMITS, "ball"),
+            "max": whole_array_acceleration(points, cls.GEOMETRY, cls.UNEQUAL, cls.LIMITS, "max"),
+        }
+
+    @classmethod
+    def points(cls, rng, kept):
+        """``kept`` rows that ``batch_rate_matrices`` keeps, in random order
+        among about as many out of reach."""
+        candidates = rng.uniform(-0.8, 0.8, size=(2 * kept + 64, 3))
+        rows, _ = batch_rate_matrices(candidates, cls.GEOMETRY)
+        assert rows.size >= kept
+        far = rng.uniform(1.5, 3.0, size=(kept, 3)) * rng.choice([-1.0, 1.0], size=(kept, 3))
+        points = np.concatenate([candidates[rows[:kept]], far])
+        return points[rng.permutation(points.shape[0])]
+
+    @staticmethod
+    def on_cpus(monkeypatch, count):
+        monkeypatch.setattr(stiffness.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    def assert_matches_oracles(self, points):
+        oracles = self.oracles(points)
+        for name, field in self.fields().items():
+            values = field.batch(points)
+            assert np.isfinite(values).any() and np.isnan(values).any()
+            assert values.dtype == oracles[name].dtype
+            assert values.tobytes() == oracles[name].tobytes(), name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_three_blocks_and_a_ragged_tail_bitwise(self, cpus, monkeypatch):
+        self.on_cpus(monkeypatch, cpus)
+        points = self.points(np.random.default_rng(17), 3 * stiffness.SWEEP_BLOCK_ROWS + 77)
+        self.assert_matches_oracles(points)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=30)
+    @given(
+        cpus=st.sampled_from((1, 2)),
+        block=st.sampled_from((1, 16, 64)),
+        tail=st.integers(0, 63),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_blocking_bitwise_property(self, cpus, block, tail, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.on_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(stiffness, "SWEEP_BLOCK_ROWS", block)
+            self.assert_matches_oracles(self.points(np.random.default_rng(seed), 3 * block + tail % block))
+
+    def test_programming_error_in_a_block_propagates(self, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        tail = 77
+        points = self.points(np.random.default_rng(19), 3 * stiffness.SWEEP_BLOCK_ROWS + tail)
+        joint_inertias = dynamics._joint_inertias
+        threads = set()
+
+        def broken_tail(m, model):
+            threads.add(threading.current_thread())
+            if m.shape[0] == tail:
+                raise TypeError("broken block")
+            return joint_inertias(m, model)
+
+        monkeypatch.setattr(dynamics, "_joint_inertias", broken_tail)
+        for name, field in self.fields().items():
+            threads.clear()
+            with pytest.raises(TypeError, match="broken block"):
+                field.batch(points)
+            assert threads and threading.main_thread() not in threads, name
 
 
 class TestPredicates:

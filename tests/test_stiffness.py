@@ -272,20 +272,28 @@ class TestOrthoglideModel:
 
 
 class TestBlockedSweep:
-    """The stiffness sweep runs per block of rows on a thread pool; no row's
-    bits may depend on the blocking or on the CPU count."""
+    """The stiffness sweep packs the reachable rows and runs them per block on
+    a thread pool; no row's bits may depend on the blocking or on the CPU
+    count."""
 
-    # three full blocks and a ragged tail
     BLOCK = stiffness.SWEEP_BLOCK_ROWS
-    TAIL = 77
-    ROWS = 3 * BLOCK + TAIL
-    # slice ends that cut across block boundaries
+    ROWS = 5 * BLOCK + 77
+    # slice ends; each slice packs its own reachable rows into blocks
     CUTS = (0, 1, BLOCK // 2, BLOCK + 1, 2 * BLOCK - 1, 3 * BLOCK - BLOCK // 3, ROWS)
 
     @pytest.fixture(scope="class")
     def points(self):
-        # about three quarters of the rows are unreachable
-        return np.random.default_rng(7).uniform(-1.2, 1.2, size=(self.ROWS, 3))
+        # 40 % of the rows are unreachable; the reachable ones fill three full
+        # blocks and a short last one
+        return np.random.default_rng(7).uniform(-0.9, 0.9, size=(self.ROWS, 3))
+
+    @pytest.fixture(scope="class")
+    def short_block(self, points):
+        """Rows in the sweep's last, short block."""
+        reachable, _ = batch_inverse_kinematics(points, default_model()[0].geometry)
+        full, short = divmod(int(reachable.sum()), self.BLOCK)
+        assert full == 3 and 0 < short
+        return short
 
     @staticmethod
     def sweep(points):
@@ -329,41 +337,82 @@ class TestBlockedSweep:
         assert time.perf_counter() - started < 60.0
         self.assert_bitwise_equal(stressed, reference)
 
-    def test_failed_batched_inverse_falls_back_per_row_in_its_block(self, points, monkeypatch):
+    def test_failed_batched_inverse_falls_back_per_row_in_its_block(self, points, short_block, monkeypatch):
         self.on_cpus(monkeypatch, 2)
         reference = self.sweep(points)
-        inv = np.linalg.inv
+        solve = np.linalg.solve
         single_rows = []
 
-        def tail_batch_fails(a):
-            if a.ndim == 3 and a.shape[0] == self.TAIL:
+        def short_batch_fails(a, b):
+            if a.ndim == 3 and a.shape[0] == short_block:
                 raise np.linalg.LinAlgError("Singular matrix")
             if a.ndim == 2:
                 single_rows.append(1)
-            return inv(a)
+            return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "inv", tail_batch_fails)
+        monkeypatch.setattr(np.linalg, "solve", short_batch_fails)
         model, _ = default_model()
         valid, k = model.batch_cartesian_stiffness(points)
         monkeypatch.undo()
-        assert len(single_rows) == 3 + 3 * self.TAIL  # the spring matrices, then each leg of each tail row
+        assert len(single_rows) == 3 * short_block  # each leg of each row in the short block
         self.assert_bitwise_equal((valid, k), reference[:2])
 
-    def test_programming_error_in_a_block_propagates(self, points, monkeypatch):
+    def test_programming_error_in_a_block_propagates(self, points, short_block, monkeypatch):
         self.on_cpus(monkeypatch, 2)
         leg_jacobians = OrthoglideStiffnessModel._leg_jacobians
         threads = set()
 
-        def broken_tail(self, pts, rho, leg):
+        def broken_short_block(self, pts, rho, leg):
             threads.add(threading.current_thread())
-            if pts.shape[0] == TestBlockedSweep.TAIL:
+            if pts.shape[0] == short_block:
                 raise TypeError("broken block")
             return leg_jacobians(self, pts, rho, leg)
 
-        monkeypatch.setattr(OrthoglideStiffnessModel, "_leg_jacobians", broken_tail)
+        monkeypatch.setattr(OrthoglideStiffnessModel, "_leg_jacobians", broken_short_block)
         with pytest.raises(TypeError, match="broken block"):
             self.sweep(points)
         assert threading.main_thread() not in threads
+
+    def test_stiffness_is_zero_exactly_where_invalid(self, points, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        reference = self.sweep(points)
+        leg_jacobians = OrthoglideStiffnessModel._leg_jacobians
+
+        def some_legs_fail(self, pts, rho, leg):
+            ok, j_virtual, j_passive = leg_jacobians(self, pts, rho, leg)
+            ok[leg::7] = False
+            return ok, j_virtual, j_passive
+
+        monkeypatch.setattr(OrthoglideStiffnessModel, "_leg_jacobians", some_legs_fail)
+        valid, k, _, _ = self.sweep(points)
+        reachable, _ = batch_inverse_kinematics(points, default_model()[0].geometry)
+        # some reachable rows now fail in assembly, as out-of-reach rows do
+        assert valid.any() and (reachable & ~valid).any() and (~reachable).any()
+        assert not (valid & ~reference[0]).any()
+        assert np.array_equal(k.any(axis=(1, 2)), valid)
+        assert k[~valid].tobytes() == np.zeros_like(k[~valid]).tobytes()
+        assert k[valid].tobytes() == reference[1][valid].tobytes()
+
+    def test_six_column_solve_matches_inverse_bitwise(self, points, monkeypatch):
+        # the sweep keeps the upper-left 6x6 block of each block system's
+        # inverse from a solve against six identity columns; this holds it to
+        # the full inverse on the real blocks of all three legs
+        solve = np.linalg.solve
+        systems = []
+
+        def recording_solve(a, b):
+            x = solve(a, b)
+            systems.append((a.copy(), x))
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        model, _ = default_model()
+        model.batch_cartesian_stiffness(points)
+        monkeypatch.undo()
+        assert len(systems) == 3 * 4  # three legs of three full blocks and a short one
+        for a, x in systems:
+            assert a.shape[1:] == (8, 8) and x.shape == (a.shape[0], 8, 6)
+            assert x[:, :6].tobytes() == np.linalg.inv(a)[:, :6, :6].tobytes()
 
 
 class TestOrderedCompliance:
@@ -398,6 +447,23 @@ class TestOrderedCompliance:
         # two full blocks and a ragged tail, most rows reachable
         rows = 2 * stiffness.SWEEP_BLOCK_ROWS + 77
         return np.random.default_rng(11).uniform(-0.6, 0.6, size=(rows, 3))
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=40)
+    @given(
+        n=st.sampled_from((2048, 2049)),
+        seed=st.integers(0, 2**32 - 1),
+        k_zeros=st.floats(0.0, 1.0),
+        j_zeros=st.floats(0.0, 0.6),
+    )
+    def test_trimmed_rows_match_einsum_bitwise_property(self, n, seed, k_zeros, j_zeros):
+        # every column is +0.0 or -0.0 from a random row on in every row of
+        # the input, so the row trim skips terms on full blocks
+        rng = np.random.default_rng(seed)
+        k_inv = signed_zero_values(rng, (13, 13), k_zeros)
+        j_virtual = signed_zero_values(rng, (n, 6, 13), j_zeros)
+        trailing = np.arange(6)[:, None] >= rng.integers(0, 7, size=13)[None, :]
+        zeros = np.where(rng.random(j_virtual.shape) < 0.5, -0.0, 0.0)
+        self.assert_same_bits(np.where(trailing, zeros, j_virtual), k_inv)
 
     def test_real_leg_jacobians_bitwise(self, points):
         model, _ = default_model()
