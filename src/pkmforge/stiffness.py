@@ -416,7 +416,13 @@ class OrthoglideStiffnessModel:
         ``total`` (n, 6, 6) and clears ``valid`` (n,) where a leg fails;
         ``k_invs`` are the legs' inverse spring matrices.  The upper-left 6x6
         block of each block system's inverse comes from one LU solve against
-        the first six columns of the identity."""
+        the first six columns of the identity, passed to the batched solve
+        as a (1, 8, 6) stack (numpy 1.x reads a right-hand side with one
+        dimension fewer than the matrices as a stack of vectors).  That
+        ``dgesv`` gives these the bits of a full inverse is not a documented
+        LAPACK guarantee: it holds on the tested build, scipy-openblas
+        0.3.31, and ``test_six_column_solve_matches_inverse_bitwise`` checks
+        it where it runs, so a failure there is a platform difference."""
         n = pts.shape[0]
         size = WRENCH_SIZE + 2
         columns = np.eye(size)[:, :WRENCH_SIZE]
@@ -434,7 +440,7 @@ class OrthoglideStiffnessModel:
             # keep invalid rows invertible so the batched solve cannot throw
             block[~valid] = np.eye(size)
             try:
-                inverse = np.linalg.solve(block, columns)
+                inverse = np.linalg.solve(block, columns[None])
             except np.linalg.LinAlgError:
                 inverse = np.empty((n, size, WRENCH_SIZE))
                 for row in range(n):

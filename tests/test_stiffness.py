@@ -402,7 +402,7 @@ class TestBlockedSweep:
 
         def recording_solve(a, b):
             x = solve(a, b)
-            systems.append((a.copy(), x))
+            systems.append((a.copy(), b, x))
             return x
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
@@ -410,7 +410,10 @@ class TestBlockedSweep:
         model.batch_cartesian_stiffness(points)
         monkeypatch.undo()
         assert len(systems) == 3 * 4  # three legs of three full blocks and a short one
-        for a, x in systems:
+        for a, b, x in systems:
+            # a stack of right-hand sides, as numpy 1.x reads (n, 8, 8) with
+            # (8, 6) as a stack of vectors and rejects it
+            assert b.shape == (1, 8, 6)
             assert a.shape[1:] == (8, 8) and x.shape == (a.shape[0], 8, 6)
             assert x[:, :6].tobytes() == np.linalg.inv(a)[:, :6, :6].tobytes()
 
