@@ -4,7 +4,7 @@ metrics, the stiffness map, design optimization, and run reports.
 Exit codes: 0 ok, 2 configuration error (also a configured value that a
 model object rejects), 3 numeric failure, 4 infeasible design problem.  Any
 other exception, a ValueError included, propagates.  The PKM_FORGE_LOG
-environment variable sets the log level.
+environment variable sets the log level; an unknown level name exits 2.
 """
 
 from __future__ import annotations
@@ -298,7 +298,6 @@ def cmd_report(config: dict, args) -> int:
         "tool": {"name": "pkmforge", "version": __version__},
         "config": config,
         "criteria": results,
-        "optimizer": None,
         "timing": timing,
     }
     _write_json(out / "report.json", payload)
@@ -358,7 +357,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("PKM_FORGE_LOG", "WARNING").upper())
+    level = os.environ.get("PKM_FORGE_LOG", "WARNING").upper()
+    # a known name maps to its number, an unknown one to the text "Level <name>"
+    if not isinstance(logging.getLevelName(level), int):
+        message = f"PKM_FORGE_LOG={level!r} is not a log level; use DEBUG, INFO, WARNING, ERROR or CRITICAL"
+        print(f"config error: {message}", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

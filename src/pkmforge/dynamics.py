@@ -18,16 +18,17 @@ import numpy as np
 
 from ._spectral import sym_eigvals_3x3
 from .errors import SingularJacobian
-from .grid import ScalarField, ThresholdPredicate
+from .grid import ScalarField, ThresholdPredicate, _ValueSemantics
 from .kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, jacobian
 from .stiffness import _sweep_blocks
 
 _SIGMA_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class InertiaModel:
-    """Lumped masses: one per drive carriage plus the tool platform."""
+@dataclass(frozen=True, eq=False)
+class InertiaModel(_ValueSemantics):
+    """Lumped masses: one per drive carriage plus the tool platform; compares
+    and hashes by value."""
 
     joint_masses: np.ndarray
     tcp_mass: float
@@ -41,9 +42,10 @@ class InertiaModel:
         object.__setattr__(self, "joint_masses", masses)
 
 
-@dataclass(frozen=True)
-class DynamicSpec:
-    """Bounds used by the dynamic grid predicates."""
+@dataclass(frozen=True, eq=False)
+class DynamicSpec(_ValueSemantics):
+    """Bounds used by the dynamic grid predicates; compares and hashes by
+    value."""
 
     inertia_bound: float
     min_acceleration: float

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -99,22 +100,24 @@ class GridSpec(_ValueSemantics):
     def node_positions(self) -> np.ndarray:
         """All node positions as an (N, 3) array in C (i, j, k) order.
 
-        The array is built once per spec and reused, so field-level batch
+        Every call returns the same read-only array, so field-level batch
         caches keyed on array identity hit across repeated sweeps.
         """
-        cached = getattr(self, "_positions", None)
-        if cached is None:
-            axes = [self.origin[a] + self.steps[a] * np.arange(self.dims[a]) for a in range(3)]
-            xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-            cached = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_positions", cached)
-        return cached
+        return self._node_positions
+
+    @cached_property
+    def _node_positions(self) -> np.ndarray:
+        axes = [self.origin[a] + self.steps[a] * np.arange(self.dims[a]) for a in range(3)]
+        xs, ys, zs = np.meshgrid(*axes, indexing="ij")
+        positions = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
+        positions.setflags(write=False)
+        return positions
 
 
-@dataclass(frozen=True)
-class FeasibilityMask:
-    """Boolean feasibility per grid node, indexed (i, j, k)."""
+@dataclass(frozen=True, eq=False)
+class FeasibilityMask(_ValueSemantics):
+    """Boolean feasibility per grid node, indexed (i, j, k); masks compare
+    and hash by value."""
 
     data: np.ndarray
 
@@ -175,16 +178,16 @@ class CuboidResult(_ValueSemantics):
 
 
 class ScalarField:
-    """A per-node scalar metric with an optional vectorized batch path.
+    """A per-node scalar metric and its vectorized batch path.
 
     Calling the field returns NaN where the scalar callable raises a
-    PkmforgeError or LinAlgError (unreachable or failed nodes).  When a
-    batch callable is supplied it must accept an (N, 3) position array and
-    return (N,) values with NaN at infeasible rows.  Batch results are cached
-    by array identity so threshold families re-use one sweep.
+    PkmforgeError or LinAlgError (unreachable or failed nodes).  The batch
+    callable must accept an (N, 3) position array and return (N,) values
+    with NaN at infeasible rows.  Batch results are cached by array identity
+    so threshold families re-use one sweep.
     """
 
-    def __init__(self, scalar: Callable[[np.ndarray], float], batch=None):
+    def __init__(self, scalar: Callable[[np.ndarray], float], batch: Callable[[np.ndarray], np.ndarray]):
         self._scalar = scalar
         self._batch = batch
         self._cache: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -199,10 +202,7 @@ class ScalarField:
         for key, ref, values in self._cache:
             if key == id(positions) and ref is positions:
                 return values
-        if self._batch is not None:
-            values = np.asarray(self._batch(positions), dtype=float)
-        else:
-            values = np.fromiter((self(p) for p in positions), dtype=float, count=len(positions))
+        values = np.asarray(self._batch(positions), dtype=float)
         self._cache.append((id(positions), positions, values))
         if len(self._cache) > 4:
             self._cache.pop(0)
@@ -210,11 +210,9 @@ class ScalarField:
 
 
 class ThresholdPredicate:
-    """Feasibility predicate ``field(p) <= bound`` (or >= for lower bounds).
-
-    NaN field values are infeasible.  Exposes a vectorized ``batch`` so mask
-    evaluation can sweep whole grids at once.
-    """
+    """Feasibility predicate ``field <= bound`` (or >= for lower bounds) over
+    (N, 3) positions, through the field's batch path; NaN field values are
+    infeasible."""
 
     def __init__(self, field: ScalarField, bound: float, feasible_when: str = "below"):
         if feasible_when not in ("below", "above"):
@@ -229,35 +227,21 @@ class ThresholdPredicate:
                 return values <= self.bound
             return values >= self.bound
 
-    def __call__(self, position) -> bool:
-        value = self.field(position)
-        return bool(not np.isnan(value) and self._compare(value))
-
     def batch(self, positions: np.ndarray) -> np.ndarray:
         values = self.field.batch(positions)
         return np.where(np.isnan(values), False, self._compare(values))
 
 
 def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
-    """Evaluate a node predicate over every grid node.
+    """Evaluate a node predicate over every grid node in one sweep.
 
-    A predicate with a vectorized ``batch`` method is swept through it
-    alone, and must return one flag per node.  A plain callable is called
-    per node, where a PkmforgeError or LinAlgError maps to False.
+    The predicate's ``batch`` method takes the (N, 3) node positions and
+    must return one flag per node; whatever it raises propagates.
     """
     positions = spec.node_positions()
-    batch = getattr(predicate, "batch", None)
-    if batch is not None:
-        flags = np.asarray(batch(positions), dtype=bool)
-        if flags.shape != (positions.shape[0],):
-            raise ValueError(f"predicate batch returned shape {flags.shape} for {positions.shape[0]} nodes")
-        return FeasibilityMask(flags.reshape(spec.dims))
-    flags = np.zeros(positions.shape[0], dtype=bool)
-    for n, pos in enumerate(positions):
-        try:
-            flags[n] = bool(predicate(pos))
-        except (PkmforgeError, np.linalg.LinAlgError):
-            flags[n] = False
+    flags = np.asarray(predicate.batch(positions), dtype=bool)
+    if flags.shape != (positions.shape[0],):
+        raise ValueError(f"predicate batch returned shape {flags.shape} for {positions.shape[0]} nodes")
     return FeasibilityMask(flags.reshape(spec.dims))
 
 

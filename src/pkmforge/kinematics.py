@@ -20,6 +20,7 @@ import numpy as np
 
 from ._spectral import sym_eigvals_3x3
 from .errors import Infeasible, NoConvergence, Singular
+from .grid import _ValueSemantics
 
 # cyclic index triples (i, j, k) for the three legs
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -40,13 +41,15 @@ def _vec3(value, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class GeometryParams:
+@dataclass(frozen=True, eq=False)
+class GeometryParams(_ValueSemantics):
     """Leg lengths, prismatic joint limits and the IK branch signs.
 
     leg_lengths    (3,) leg lengths [m], all positive
     joint_limits   (3, 2) closed [lower, upper] travel per drive [m]
     assembly_signs (3,) entries in {-1, +1}, selecting the IK branch per leg
+
+    Geometries compare and hash by these three values.
     """
 
     leg_lengths: np.ndarray
@@ -70,9 +73,10 @@ class GeometryParams:
         object.__setattr__(self, "assembly_signs", signs)
 
 
-@dataclass(frozen=True)
-class KinematicSample:
-    """Jacobian plus its conditioning measures at one pose."""
+@dataclass(frozen=True, eq=False)
+class KinematicSample(_ValueSemantics):
+    """Jacobian plus its conditioning measures at one pose; compares and
+    hashes by value."""
 
     jacobian: np.ndarray
     cond: float
@@ -172,34 +176,30 @@ def forward_kinematics(
     raise NoConvergence(f"no solution within {max_iterations} iterations (residual {res})")
 
 
-def rate_matrix(p, rho, denominator_eps: float = DENOMINATOR_EPS) -> np.ndarray:
+def rate_matrix(p, rho) -> np.ndarray:
     """The unit-diagonal matrix ``M`` with ``M @ dp = drho``.
 
     Entry (i, j) for j != i is ``p_j / (p_i - rho_i)``.  Raises Singular when
-    any denominator is below ``denominator_eps``.
+    any denominator is below ``DENOMINATOR_EPS`` in magnitude.
     """
     p = _vec3(p, "p")
     rho = _vec3(rho, "rho")
     m = np.eye(3)
     for i, j, k in _CYCLIC:
         den = p[i] - rho[i]
-        if abs(den) < denominator_eps:
-            raise Singular(f"leg {i} has p_i - rho_i = {den:g}, below {denominator_eps:g}")
+        if abs(den) < DENOMINATOR_EPS:
+            raise Singular(f"leg {i} has p_i - rho_i = {den:g}, below {DENOMINATOR_EPS:g}")
         m[i, j] = p[j] / den
         m[i, k] = p[k] / den
     return m
 
 
-def jacobian(
-    p,
-    rho,
-    condition_limit: float = CONDITION_LIMIT,
-    denominator_eps: float = DENOMINATOR_EPS,
-) -> np.ndarray:
-    """Manipulator Jacobian ``J = inv(M)`` mapping drive rates to tool rates."""
-    m = rate_matrix(p, rho, denominator_eps)
-    if np.linalg.cond(m) > condition_limit:
-        raise Singular(f"rate matrix condition exceeds {condition_limit:g}")
+def jacobian(p, rho) -> np.ndarray:
+    """Manipulator Jacobian ``J = inv(M)`` mapping drive rates to tool rates;
+    raises Singular when ``M``'s condition number exceeds ``CONDITION_LIMIT``."""
+    m = rate_matrix(p, rho)
+    if np.linalg.cond(m) > CONDITION_LIMIT:
+        raise Singular(f"rate matrix condition exceeds {CONDITION_LIMIT:g}")
     return np.linalg.inv(m)
 
 

@@ -33,6 +33,11 @@ DEFAULT_BUDGET = 2000
 LAMBDA_TOL = 1e-6
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e1, 1e3, 1e5)
+INITIAL_STEP_FRACTION = 0.25
+STEP_TOLERANCE_FRACTION = 1e-7
+EXTENT_FACTOR = 2.0
+CONSTRAINT_MARGIN_STEPS = 1.0
+DOMINANCE_TOL = 1e-9
 CACHE_QUANTUM = 1e-9
 INFEASIBLE_SENTINEL = float("-inf")
 
@@ -206,20 +211,19 @@ def pattern_search(
     budget: int,
     evaluations_used: Callable[[], int],
     extra_directions: Sequence[np.ndarray] = (),
-    initial_step_fraction: float = 0.25,
-    step_tolerance_fraction: float = 1e-7,
 ):
     """Bounded coordinate pattern search with step halving.
 
     Polls +/- every coordinate plus any extra directions (scaled by the
-    per-coordinate steps), moves greedily to the best improving trial, and
-    halves the steps when no poll improves.  Stops on the step tolerance or
-    when ``evaluations_used`` exceeds the budget.  Returns
-    (x, f, converged).
+    per-coordinate steps, which start at ``INITIAL_STEP_FRACTION`` of the
+    box span), moves greedily to the best improving trial, and halves the
+    steps when no poll improves.  Stops once every step is at most
+    ``STEP_TOLERANCE_FRACTION`` of its span, or when ``evaluations_used``
+    exceeds the budget.  Returns (x, f, converged).
     """
     bounds = np.asarray(bounds, dtype=float)
     span = bounds[:, 1] - bounds[:, 0]
-    steps = initial_step_fraction * span
+    steps = INITIAL_STEP_FRACTION * span
     x = np.clip(np.asarray(start, dtype=float), bounds[:, 0], bounds[:, 1])
     fx = func(x)
     dim = x.size
@@ -247,7 +251,7 @@ def pattern_search(
             x, fx = best_trial, best_value
         else:
             steps = steps / 2.0
-            if np.all(steps <= step_tolerance_fraction * span):
+            if np.all(steps <= STEP_TOLERANCE_FRACTION * span):
                 return x, fx, True
     return x, fx, False
 
@@ -256,20 +260,19 @@ def goal_attain(
     problem: GoalProblem,
     starts: Sequence[np.ndarray],
     budget: int = DEFAULT_BUDGET,
-    lambda_tol: float = LAMBDA_TOL,
-    constraint_tol: float = CONSTRAINT_TOL,
-    penalties: Sequence[float] = PENALTY_SCHEDULE,
-    refine: bool = True,
 ) -> AttainmentResult:
     """Minimize the attainment level over the design box, multistarted.
 
     Each start runs the pattern search on ``lam(x) + rho * residual(x)``
-    with the penalty factor escalated (restarting from the incumbent) until
-    the constraint residual drops below ``constraint_tol``.  With ``refine``
-    a lexicographic pass follows: minimize the weighted objective sum
-    subject to the attainment level not degrading, which pins objectives
-    that the minimax level alone leaves free on its ridge.  Raises
-    Infeasible when no start reaches a feasible design within its budget.
+    with the penalty factor ``rho`` escalated through ``PENALTY_SCHEDULE``
+    (restarting from the incumbent) until the constraint residual is at
+    most ``CONSTRAINT_TOL``.  A lexicographic pass follows: minimize the
+    sum of squared weighted goal excesses subject to the attainment level
+    not degrading by more than ``LAMBDA_TOL``, which pins objectives that
+    the minimax level alone leaves free on its ridge; when it moves the
+    design, the minimax stage and the pass run once more from there.
+    Raises Infeasible when no start reaches a feasible design within its
+    budget.
     """
     bounds = np.asarray(problem.bounds, dtype=float)
     starts = [np.asarray(s, dtype=float) for s in starts]
@@ -289,7 +292,7 @@ def goal_attain(
 
         def minimax_stage(x0, converged0):
             x, converged = x0, converged0
-            for rho in penalties:
+            for rho in PENALTY_SCHEDULE:
 
                 def penalized(design, rho=rho):
                     values, constraints = evaluator(design)
@@ -299,16 +302,16 @@ def goal_attain(
                     penalized, x, bounds, budget, used, extra_directions=extra
                 )
                 values, constraints = evaluator(x)
-                if evaluator.residual(values, constraints) <= constraint_tol:
+                if evaluator.residual(values, constraints) <= CONSTRAINT_TOL:
                     break
             return x, converged
 
         def refine_stage(x0):
             values, constraints = evaluator(x0)
-            if evaluator.residual(values, constraints) > constraint_tol:
+            if evaluator.residual(values, constraints) > CONSTRAINT_TOL:
                 return x0
-            cap = evaluator.level(values) + lambda_tol
-            rho = penalties[-1]
+            cap = evaluator.level(values) + LAMBDA_TOL
+            rho = PENALTY_SCHEDULE[-1]
             guard = 1e6 * max(1.0, abs(cap))
 
             def lexicographic(design):
@@ -320,21 +323,19 @@ def goal_attain(
 
             x, _, _ = pattern_search(lexicographic, x0, bounds, budget, used, extra_directions=extra)
             values, constraints = evaluator(x)
-            if evaluator.residual(values, constraints) <= constraint_tol and evaluator.level(values) <= cap:
+            if evaluator.residual(values, constraints) <= CONSTRAINT_TOL and evaluator.level(values) <= cap:
                 return x
             return x0
 
         x, converged = minimax_stage(start, False)
-        if refine:
+        refined = refine_stage(x)
+        if not np.array_equal(refined, x):
+            x, converged = minimax_stage(refined, converged)
             refined = refine_stage(x)
-            if not np.array_equal(refined, x):
-                x, converged = minimax_stage(refined, converged)
-                x = refine_stage(x)
-            else:
-                x = refined
+        x = refined
 
         values, constraints = evaluator(x)
-        if evaluator.residual(values, constraints) > constraint_tol:
+        if evaluator.residual(values, constraints) > CONSTRAINT_TOL:
             continue
         lam = evaluator.level(values)
         if best is None or lam < best[0] or (lam == best[0] and converged and not best[2]):
@@ -356,12 +357,13 @@ def goal_attain(
     )
 
 
-def dominates(first: np.ndarray, second: np.ndarray, tol: float = 1e-9) -> bool:
-    """Componentwise ``first <= second`` with at least one strict improvement."""
-    return bool(np.all(first <= second + tol) and np.any(first < second - tol))
+def dominates(first: np.ndarray, second: np.ndarray) -> bool:
+    """Componentwise ``first <= second`` with at least one strict improvement,
+    both up to ``DOMINANCE_TOL``."""
+    return bool(np.all(first <= second + DOMINANCE_TOL) and np.any(first < second - DOMINANCE_TOL))
 
 
-def pareto_filter(points: Sequence[ParetoPoint], tol: float = 1e-9) -> list[ParetoPoint]:
+def pareto_filter(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:
     """Drop every point dominated by another; idempotent, order independent."""
     kept = []
     for i, candidate in enumerate(points):
@@ -369,7 +371,7 @@ def pareto_filter(points: Sequence[ParetoPoint], tol: float = 1e-9) -> list[Pare
         for j, other in enumerate(points):
             if i == j:
                 continue
-            if dominates(other.objectives, candidate.objectives, tol):
+            if dominates(other.objectives, candidate.objectives):
                 dominated = True
                 break
         if not dominated:
@@ -519,10 +521,8 @@ def orthoglide_geometry_problem(
     target: Sequence[float],
     sigma_range: tuple[float, float],
     resolution: int = 16,
-    extent_factor: float = 2.0,
     length_bounds: tuple[float, float] = (0.7, 3.0),
     span_bounds: tuple[float, float] = (0.4, 3.4),
-    constraint_margin_steps: float = 1.0,
 ) -> GoalProblem:
     """Leg-length minimization subject to a conditioned-workspace target.
 
@@ -532,7 +532,9 @@ def orthoglide_geometry_problem(
     target extents, so equal attainment shapes the legs like the target.
     The constraint requires the inscribed cuboid of the velocity-transmission
     region to cover the target box, with a safety margin of
-    ``constraint_margin_steps`` coarse grid steps.
+    ``CONSTRAINT_MARGIN_STEPS`` grid steps.  The grid is centered on the
+    origin, spans ``EXTENT_FACTOR`` target extents per axis and has
+    ``EXTENT_FACTOR * resolution + 1`` nodes per axis.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or np.any(target <= 0.0):
@@ -541,8 +543,8 @@ def orthoglide_geometry_problem(
     if not 0.0 < lo < hi:
         raise ValueError(f"sigma range must satisfy 0 < lo < hi, got {sigma_range}")
 
-    dims = tuple(int(round(extent_factor * resolution)) + 1 for _ in range(3))
-    origin = -0.5 * extent_factor * target
+    dims = tuple(int(round(EXTENT_FACTOR * resolution)) + 1 for _ in range(3))
+    origin = -0.5 * EXTENT_FACTOR * target
     spec = GridSpec(origin=origin, proportions=target, resolution=resolution, dims=dims)
 
     def predicate_factory(design: np.ndarray):
@@ -555,7 +557,7 @@ def orthoglide_geometry_problem(
         )
         return transmission_predicate(geometry, sigma_range=(lo, hi))
 
-    margin = constraint_margin_steps * float(spec.steps[0])
+    margin = CONSTRAINT_MARGIN_STEPS * float(spec.steps[0])
 
     def constraint_value(design: np.ndarray) -> float:
         return workspace_constraint(design, predicate_factory, spec, target)

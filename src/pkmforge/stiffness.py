@@ -200,13 +200,13 @@ def _compliance(j_virtual: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def chain_cartesian_stiffness(chain: ChainModel, condition_limit: float = CONDITION_LIMIT) -> CartesianStiffness:
+def chain_cartesian_stiffness(chain: ChainModel) -> CartesianStiffness:
     """Cartesian stiffness of one chain from its block force system.
 
     Builds the (6 + n_p) square block matrix, inverts it, and extracts the
-    upper-left 6x6 block.  Raises SingularSystem when the block matrix is too
-    ill-conditioned (rank-deficient sprung Jacobian or too many passive
-    freedoms).
+    upper-left 6x6 block.  Raises SingularSystem when the block matrix's
+    condition number exceeds ``CONDITION_LIMIT`` (rank-deficient sprung
+    Jacobian or too many passive freedoms).
     """
     compliance = chain.j_virtual @ np.linalg.solve(chain.k_virtual, chain.j_virtual.T)
     scale = np.abs(compliance).max()
@@ -221,7 +221,7 @@ def chain_cartesian_stiffness(chain: ChainModel, condition_limit: float = CONDIT
     if n_p:
         block[:WRENCH_SIZE, WRENCH_SIZE:] = chain.j_passive
         block[WRENCH_SIZE:, :WRENCH_SIZE] = chain.j_passive.T
-    if not np.all(np.isfinite(block)) or np.linalg.cond(block) > condition_limit:
+    if not np.all(np.isfinite(block)) or np.linalg.cond(block) > CONDITION_LIMIT:
         raise SingularSystem("chain force system is rank deficient or ill-conditioned")
     stiffness = np.linalg.inv(block)[:WRENCH_SIZE, :WRENCH_SIZE] / scale
     return CartesianStiffness(stiffness)
@@ -237,13 +237,14 @@ def aggregate_stiffness(chains: Sequence[CartesianStiffness]) -> CartesianStiffn
     return CartesianStiffness(total)
 
 
-def deflection(stiffness: CartesianStiffness, load, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Twist deflection under a wrench: solves ``K @ dt = f``."""
+def deflection(stiffness: CartesianStiffness, load) -> np.ndarray:
+    """Twist deflection under a wrench: solves ``K @ dt = f``; raises
+    SingularStiffness when K's condition number exceeds ``CONDITION_LIMIT``."""
     f = np.asarray(load, dtype=float)
     if f.shape != (WRENCH_SIZE,):
         raise ValueError(f"load must be a 6-vector, got shape {f.shape}")
     k = stiffness.matrix
-    if np.linalg.cond(k) > condition_limit:
+    if np.linalg.cond(k) > CONDITION_LIMIT:
         raise SingularStiffness("aggregated stiffness is singular under this chain set")
     return np.linalg.solve(k, f)
 
@@ -293,14 +294,15 @@ _AXIS = np.eye(3)
 _FRAME_REF = (1, 2, 0)
 
 
-@dataclass(frozen=True)
-class OrthoglideStiffnessModel:
+@dataclass(frozen=True, eq=False)
+class OrthoglideStiffnessModel(_ValueSemantics):
     """Pose-dependent chain builder for the three-legged Orthoglide.
 
     Per chain: a 1-DOF actuator spring along the drive, a 6-DOF foot spring
     in drive-aligned axes, a 6-DOF equivalent-beam spring for the
     parallelogram in leg-aligned axes (beam length = leg length), and two
-    passive revolutes perpendicular to the leg.
+    passive revolutes perpendicular to the leg.  Models compare and hash by
+    value.
     """
 
     geometry: GeometryParams

@@ -152,6 +152,15 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="planted"):
             cli(tmp_path, small_config(), command, *extra)
 
+    def test_unknown_log_level_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("PKM_FORGE_LOG", "verbose")
+        assert main(["--version"]) == 2
+        assert "PKM_FORGE_LOG='VERBOSE' is not a log level" in capsys.readouterr().err
+        monkeypatch.setenv("PKM_FORGE_LOG", "debug")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+
 
 class TestGridEval:
     def test_writes_map_and_mask(self, tmp_path):
@@ -427,6 +436,7 @@ class TestReport:
         payload = json.loads((out / "report.json").read_text())
         assert set(payload["criteria"]) == {"kinematic", "stiffness", "gie", "acceleration"}
         assert payload["tool"]["name"] == "pkmforge"
+        assert set(payload) == {"tool", "config", "criteria", "timing"}
 
     def test_config_echo_round_trips(self, tmp_path):
         config = small_config()

@@ -1,6 +1,7 @@
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,10 +32,71 @@ def make_spec(dims, resolution=4, proportions=(1.0, 1.0, 1.0), origin=(0.0, 0.0,
     return GridSpec(origin=origin, proportions=proportions, resolution=resolution, dims=dims)
 
 
+def batch_predicate(flags):
+    """A grid predicate whose batch test is ``flags(positions)``."""
+    return SimpleNamespace(batch=flags)
+
+
+def norm_field():
+    return ScalarField(lambda p: float(np.linalg.norm(p)), lambda pts: np.linalg.norm(pts, axis=1))
+
+
+def value_cases():
+    """(value, an equal value built from other inputs, values differing in one
+    field) for each spec and model class that compares by value."""
+    from pkmforge.dynamics import DynamicSpec, InertiaModel
+    from pkmforge.kinematics import GeometryParams, KinematicSample
+    from pkmforge.stiffness import CrossSection, OrthoglideStiffnessModel
+
+    limits = [[-1.9, -0.1]] * 3
+    geometry = GeometryParams([1.0, 1.2, 0.9], limits)
+    section = CrossSection(width=0.025, height=0.025, elastic_modulus=7e10, shear_modulus=2.6e10)
+    model = OrthoglideStiffnessModel(geometry, 1e6, section, 0.1, section)
+    jac = np.arange(9.0).reshape(3, 3)
+    mask = np.arange(8).reshape(2, 2, 2) % 3 == 0
+    return [
+        (
+            geometry,
+            GeometryParams(np.array([1, 1.2, 0.9]), np.array(limits), [-1, -1, -1]),
+            [GeometryParams([1.0, 1.2, 1.0], limits), GeometryParams([1.0, 1.2, 0.9], limits, (-1, 1, -1))],
+        ),
+        (
+            KinematicSample(jac, 2.0, 0.5, 1.0),
+            KinematicSample(jac.copy(), 2, 0.5, 1),
+            [KinematicSample(jac.T, 2.0, 0.5, 1.0), KinematicSample(jac, 2.0, 0.5, 1.5)],
+        ),
+        (
+            InertiaModel([1.0, 2.0, 3.0], 0.5),
+            InertiaModel(np.array([1, 2, 3]), 0.5),
+            [InertiaModel([1.0, 2.0, 4.0], 0.5), InertiaModel([1.0, 2.0, 3.0], 0.25)],
+        ),
+        (
+            DynamicSpec(10.0, 5.0, [1.0, 2.0, 3.0]),
+            DynamicSpec(10, 5, np.array([1, 2, 3]), "ball"),
+            [DynamicSpec(10.0, 5.0, [1.0, 2.0, 3.5]), DynamicSpec(10.0, 5.0, [1.0, 2.0, 3.0], "max")],
+        ),
+        (
+            FeasibilityMask(mask),
+            FeasibilityMask(mask.astype(int).tolist()),
+            [FeasibilityMask(~mask), FeasibilityMask(mask.reshape(2, 4, 1))],
+        ),
+        (
+            model,
+            OrthoglideStiffnessModel(GeometryParams([1, 1.2, 0.9], limits), 1e6, replace(section), 0.1, section),
+            [replace(model, geometry=GeometryParams([1.0, 1.0, 0.9], limits)), replace(model, foot_length=0.2)],
+        ),
+    ]
+
+
 class TestGridSpec:
     def test_node_positions_match_formula(self):
         spec = make_spec((3, 4, 5), resolution=8, proportions=(1.0, 2.0, 0.5), origin=(-1.0, 0.5, 0.25))
-        positions = spec.node_positions().reshape(3, 4, 5, 3)
+        positions = spec.node_positions()
+        assert spec.node_positions() is positions  # field caches key on this identity
+        assert not positions.flags.writeable
+        with pytest.raises(ValueError):
+            positions[0, 0] = 1.0
+        positions = positions.reshape(3, 4, 5, 3)
         for i in (0, 2):
             for j in (0, 3):
                 for k in (0, 4):
@@ -50,9 +112,10 @@ class TestGridSpec:
         a = make_spec((3, 4, 5), resolution=8, proportions=(1.0, 2.0, 0.5), origin=(-1.0, 0.5, 0.25))
         b = make_spec([3, 4, 5], resolution=8, proportions=[1, 2, 0.5], origin=np.array([-1.0, 0.5, 0.25]))
         a.node_positions()  # the position cache takes no part in equality
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+        for value, same, _ in [(a, b, ()), *value_cases()]:
+            assert value == same
+            assert hash(value) == hash(same)
+            assert len({value, same}) == 1
 
     def test_specs_differing_in_one_value_are_unequal(self):
         base = make_spec((3, 4, 5))
@@ -61,6 +124,10 @@ class TestGridSpec:
         assert base != make_spec((3, 4, 5), proportions=(1.0, 1.0, 0.5))
         assert base != make_spec((3, 4, 5), origin=(0.0, 0.0, 0.1))
         assert base != (base.origin, base.proportions, base.resolution, base.dims)
+        for value, _, others in value_cases():
+            for other in others:
+                assert value != other
+            assert value != tuple(getattr(value, f.name) for f in fields(value))
 
     def test_matrix_fields_key_on_shape_and_values(self):
         @dataclass(frozen=True, eq=False)
@@ -85,50 +152,44 @@ class TestGridSpec:
 class TestEvaluateMask:
     def test_constant_true(self):
         spec = make_spec((4, 4, 4))
-        mask = evaluate_mask(spec, lambda p: True)
+        mask = evaluate_mask(spec, batch_predicate(lambda pts: np.ones(len(pts), dtype=bool)))
         assert mask.data.all()
 
     def test_sphere_predicate_matches_direct_check(self):
         spec = make_spec((9, 9, 9), resolution=8, origin=(-0.5, -0.5, -0.5))
         radius = 0.9 * spec.proportions[0]
 
-        def predicate(p):
-            return float(np.linalg.norm(p)) <= radius
-
-        mask = evaluate_mask(spec, predicate)
+        mask = evaluate_mask(spec, batch_predicate(lambda pts: np.linalg.norm(pts, axis=1) <= radius))
         for (i, j, k), value in np.ndenumerate(mask.data):
             node = spec.node_position((i, j, k))
             assert value == (np.linalg.norm(node) <= radius)
 
     def test_predicate_failure_maps_to_false(self):
         spec = make_spec((3, 3, 3))
+        # a field is NaN where its node failed, here the x = 0 plane
+        field = ScalarField(lambda p: 0.0, lambda pts: np.where(pts[:, 0] == 0.0, np.nan, 0.0))
+        for feasible_when in ("below", "above"):
+            mask = evaluate_mask(spec, ThresholdPredicate(field, 0.0, feasible_when))
+            assert not mask.data[0].any()
+            assert mask.data[1:].all()
 
-        def flaky(p):
-            if p[0] == 0.0:
-                raise Infeasible("boom")
+    def test_plain_callable_is_rejected(self):
+        calls = []
+
+        def per_node(p):
+            calls.append(p)
             return True
 
-        mask = evaluate_mask(spec, flaky)
-        assert not mask.data[0].any()
-        assert mask.data[1:].all()
+        with pytest.raises(AttributeError, match="batch"):
+            evaluate_mask(make_spec((3, 3, 3)), per_node)
+        assert not calls
 
-    def test_per_node_programming_error_propagates(self):
-        def broken(p):
+    def test_batch_programming_error_propagates(self):
+        def broken(positions):
             raise TypeError("deliberate")
 
         with pytest.raises(TypeError, match="deliberate"):
-            evaluate_mask(make_spec((3, 3, 3)), broken)
-
-    def test_batch_programming_error_propagates(self):
-        class Broken:
-            def __call__(self, p):
-                return True
-
-            def batch(self, positions):
-                raise TypeError("deliberate")
-
-        with pytest.raises(TypeError, match="deliberate"):
-            evaluate_mask(make_spec((3, 3, 3)), Broken())
+            evaluate_mask(make_spec((3, 3, 3)), batch_predicate(broken))
 
     def test_field_maps_only_numeric_failures_to_nan(self):
         def scalar(p):
@@ -136,21 +197,15 @@ class TestEvaluateMask:
                 raise Infeasible("out of reach")
             raise TypeError("deliberate")
 
-        field = ScalarField(scalar)
+        field = ScalarField(scalar, lambda pts: np.zeros(len(pts)))
         assert np.isnan(field(np.array([-1.0, 0.0, 0.0])))
         with pytest.raises(TypeError, match="deliberate"):
             field(np.array([1.0, 0.0, 0.0]))
 
     def test_misshapen_batch_result_is_rejected(self):
-        class Misshapen:
-            def __call__(self, p):
-                return True
-
-            def batch(self, positions):
-                return np.ones((len(positions), 1), dtype=bool)
-
+        misshapen = batch_predicate(lambda pts: np.ones((len(pts), 1), dtype=bool))
         with pytest.raises(ValueError, match="shape"):
-            evaluate_mask(make_spec((3, 3, 3)), Misshapen())
+            evaluate_mask(make_spec((3, 3, 3)), misshapen)
 
     def test_kinematic_predicate_true_at_center(self):
         from pkmforge.kinematics import GeometryParams, transmission_predicate
@@ -162,14 +217,10 @@ class TestEvaluateMask:
 
     def test_batch_path_matches_scalar_path(self):
         spec = make_spec((6, 5, 4), origin=(-0.4, -0.3, -0.2))
-        field = ScalarField(
-            lambda p: float(np.linalg.norm(p)),
-            batch=lambda pts: np.linalg.norm(pts, axis=1),
-        )
-        predicate = ThresholdPredicate(field, 0.5, "below")
-        batch_mask = evaluate_mask(spec, predicate)
-        scalar_mask = evaluate_mask(spec, predicate.__call__)  # plain callable, no batch attr
-        assert np.array_equal(batch_mask.data, scalar_mask.data)
+        field = norm_field()
+        batch_mask = evaluate_mask(spec, ThresholdPredicate(field, 0.5, "below"))
+        scalar_flags = [field(p) <= 0.5 for p in spec.node_positions()]  # the per-pose view
+        assert np.array_equal(batch_mask.data.ravel(), scalar_flags)
 
 
 class TestLargestCuboid:
@@ -301,7 +352,7 @@ class TestBruteForce:
 class TestNestedCuboids:
     def test_single_threshold_matches_composition(self):
         spec = make_spec((8, 8, 8), resolution=7, origin=(-0.5, -0.5, -0.5))
-        field = ScalarField(lambda p: float(np.linalg.norm(p)))
+        field = norm_field()
 
         def family(threshold):
             return ThresholdPredicate(field, threshold, "below")
@@ -313,7 +364,7 @@ class TestNestedCuboids:
 
     def test_loosening_never_shrinks(self):
         spec = make_spec((9, 9, 9), resolution=8, origin=(-0.5, -0.5, -0.5))
-        field = ScalarField(lambda p: float(np.linalg.norm(p)))
+        field = norm_field()
 
         def family(threshold):
             return ThresholdPredicate(field, threshold, "below")

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,11 +253,7 @@ class TestWorkspaceConstraint:
 
     def sphere_factory(self, design):
         radius = float(design[0])
-
-        def predicate(p):
-            return bool(np.linalg.norm(p) <= radius)
-
-        return predicate
+        return SimpleNamespace(batch=lambda positions: np.linalg.norm(positions, axis=1) <= radius)
 
     def test_zero_target_nonnegative(self):
         value = workspace_constraint(np.array([0.4]), self.sphere_factory, self.spec(), (0.0, 0.0, 0.0))
