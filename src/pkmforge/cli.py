@@ -4,7 +4,9 @@ metrics, the stiffness map, design optimization, and run reports.
 Exit codes: 0 ok, 2 configuration error (also a configured value that a
 model object rejects), 3 numeric failure, 4 infeasible design problem.  Any
 other exception, a ValueError included, propagates.  The PKM_FORGE_LOG
-environment variable sets the log level; an unknown level name exits 2.
+environment variable sets the level of the ``pkmforge`` logger, and of the
+root logger when logging is not yet configured; an unknown level name
+exits 2.
 """
 
 from __future__ import annotations
@@ -363,7 +365,10 @@ def main(argv=None) -> int:
         message = f"PKM_FORGE_LOG={level!r} is not a log level; use DEBUG, INFO, WARNING, ERROR or CRITICAL"
         print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
+    # basicConfig does nothing once the root logger has a handler, as in a
+    # process that configured logging before calling main
     logging.basicConfig(level=level)
+    log.setLevel(level)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -228,22 +228,33 @@ def batch_inverse_kinematics(positions: np.ndarray, geometry: GeometryParams):
     """Vectorized IK over an (N, 3) position array.
 
     Returns (reachable, rho) where unreachable rows of rho are filled with the
-    clamped branch value and must be ignored.
+    clamped branch value and must be ignored.  ``rho`` has shape (N, 3) and
+    is a view of a (3, N) array, so each drive's values are contiguous.
+    The coordinates are read as the columns of ``positions.T``, contiguous
+    when the positions are themselves a transposed (3, N) array, as
+    ``batch_rate_matrices`` passes them.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"positions must have shape (N, 3), got {pts.shape}")
-    n = pts.shape[0]
-    reachable = np.ones(n, dtype=bool)
-    rho = np.empty((n, 3))
+    cols = pts.T
+    squares = np.multiply(cols, cols, out=np.empty(cols.shape))
+    reachable = np.ones(cols.shape[1], dtype=bool)
+    rho = np.empty(cols.shape)
+    radicand = np.empty(cols.shape[1])
     for i, j, k in _CYCLIC:
-        radicand = geometry.leg_lengths[i] ** 2 - pts[:, j] ** 2 - pts[:, k] ** 2
+        np.subtract(geometry.leg_lengths[i] ** 2, squares[j], out=radicand)
+        radicand -= squares[k]
         ok = radicand >= 0.0
-        root = np.sqrt(np.where(ok, radicand, 0.0))
-        rho[:, i] = pts[:, i] + geometry.assembly_signs[i] * root
+        radicand[~ok] = 0.0
+        root = np.sqrt(radicand, out=radicand)
+        np.multiply(geometry.assembly_signs[i], root, out=root)
+        np.add(cols[i], root, out=rho[i])
         lo, hi = geometry.joint_limits[i]
-        reachable &= ok & (rho[:, i] >= lo) & (rho[:, i] <= hi)
-    return reachable, rho
+        reachable &= ok
+        reachable &= rho[i] >= lo
+        reachable &= rho[i] <= hi
+    return reachable, rho.T
 
 
 def batch_rate_matrices(positions: np.ndarray, geometry: GeometryParams):
@@ -257,28 +268,59 @@ def batch_rate_matrices(positions: np.ndarray, geometry: GeometryParams):
     each entry's values are contiguous.
     """
     pts = np.asarray(positions, dtype=float)
-    reachable, rho = batch_inverse_kinematics(pts, geometry)
-    den = [pts[:, i] - rho[:, i] for i in range(3)]
-    kept = reachable.copy()
+    # one transposed copy, shared with batch_inverse_kinematics
+    cols = np.ascontiguousarray(pts.T)
+    reachable, rho = batch_inverse_kinematics(cols.T, geometry)
+    # p_i - rho_i, in the buffer of rho, which is not needed after it
+    den = np.subtract(cols, rho.T, out=rho.T)
+    kept = reachable
     for d in den:
         kept &= np.abs(d) >= DENOMINATOR_EPS
     rows = np.flatnonzero(kept)
-    p = [pts[:, j].take(rows) for j in range(3)]
+    p = cols.take(rows, axis=1)
     m = np.empty((3, 3, rows.size))
     for i, j, k in _CYCLIC:
         d = den[i].take(rows)
         m[i, i] = 1.0
-        m[i, j] = p[j] / d
-        m[i, k] = p[k] / d
+        np.divide(p[j], d, out=m[i, j])
+        np.divide(p[k], d, out=m[i, k])
     return rows, m.transpose(2, 0, 1)
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
     """``M^T M`` per row, each entry summed over j = 0, 1, 2 in that order;
-    like ``M``, a view of a (3, 3, N) array."""
+    like ``M``, a view of a (3, 3, N) array.
+
+    ``M`` has an exact unit diagonal, so the products with a diagonal entry
+    are left out: ``x * 1.0 == x`` bit for bit (``1.0 * 1.0`` is ``1.0``),
+    and every sum keeps its terms and their order.
+    """
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.transpose(1, 2, 0)
     gram = np.empty((3, 3, m.shape[0]))
-    for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        gram[a, b] = m[:, 0, a] * m[:, 0, b] + m[:, 1, a] * m[:, 1, b] + m[:, 2, a] * m[:, 2, b]
+    g00, g01, g02, g11, g12, g22 = (gram[a, b] for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    term = np.empty(m.shape[0])
+    # g00 = (1 + m10 m10) + m20 m20
+    np.add(1.0, np.multiply(m10, m10, out=g00), out=g00)
+    g00 += np.multiply(m20, m20, out=term)
+    # g01 = (m01 + m10) + m20 m21
+    np.add(m01, m10, out=g01)
+    g01 += np.multiply(m20, m21, out=term)
+    # g02 = (m02 + m10 m12) + m20
+    np.add(m02, np.multiply(m10, m12, out=g02), out=g02)
+    g02 += m20
+    # g11 = (m01 m01 + 1) + m21 m21
+    np.multiply(m01, m01, out=g11)
+    g11 += 1.0
+    g11 += np.multiply(m21, m21, out=term)
+    # g12 = (m01 m02 + m12) + m21
+    np.multiply(m01, m02, out=g12)
+    g12 += m12
+    g12 += m21
+    # g22 = (m02 m02 + m12 m12) + 1
+    np.multiply(m02, m02, out=g22)
+    g22 += np.multiply(m12, m12, out=term)
+    g22 += 1.0
+    for a, b in ((0, 1), (0, 2), (1, 2)):
         gram[b, a] = gram[a, b]
     return gram.transpose(2, 0, 1)
 
@@ -301,10 +343,12 @@ def batch_transmission(positions: np.ndarray, geometry: GeometryParams):
         rows, m = batch_rate_matrices(positions[start : start + TRANSMISSION_BLOCK_ROWS], geometry)
         vals = sym_eigvals_3x3(_gram(m))
         lo_m, hi_m = vals[:, 0], vals[:, 2]
-        keep = (lo_m > 0.0) & (hi_m / np.where(lo_m > 0.0, lo_m, 1.0) <= CONDITION_LIMIT**2)
+        keep = lo_m > 0.0
+        ratio = np.divide(hi_m, lo_m, out=np.ones_like(lo_m), where=keep)
+        keep &= ratio <= CONDITION_LIMIT**2
         lo_m, hi_m, rows = lo_m[keep], hi_m[keep], rows[keep] + start
-        s_min = 1.0 / np.sqrt(hi_m)
-        s_max = 1.0 / np.sqrt(lo_m)
+        s_min = np.divide(1.0, np.sqrt(hi_m, out=hi_m), out=hi_m)
+        s_max = np.divide(1.0, np.sqrt(lo_m, out=lo_m), out=lo_m)
         valid[rows] = True
         cond[rows] = s_max / s_min
         sigma_min[rows] = s_min

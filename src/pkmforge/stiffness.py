@@ -294,6 +294,12 @@ _AXIS = np.eye(3)
 _FRAME_REF = (1, 2, 0)
 
 
+def _cross(a, b) -> list:
+    """Components of the cross product of 3-vectors given as components
+    (arrays or scalars), each computed as ``np.cross`` does."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
 @dataclass(frozen=True, eq=False)
 class OrthoglideStiffnessModel(_ValueSemantics):
     """Pose-dependent chain builder for the three-legged Orthoglide.
@@ -329,37 +335,37 @@ class OrthoglideStiffnessModel(_ValueSemantics):
 
         Returns (ok, J_virtual (N, 6, 13), J_passive (N, 6, 2)); ``ok`` is
         False where the leg is aligned with its frame reference axis.
+        ``J_virtual`` is a view of a (13, 6, N) array, so each column's rows
+        are contiguous, as ``_compliance`` reads them; ``J_passive`` is a
+        view of its last two columns, the twists about the two leg normals,
+        which the passive revolutes share with the beam spring.  Each cross
+        product is written out per component in ``np.cross``'s own order,
+        ``a1 * b2 - a2 * b1`` and so on, with the same bits.
         """
-        n = pts.shape[0]
-        anchor = np.zeros((n, 3))
-        anchor[:, leg] = rho[:, leg]
-        lever = pts - anchor
-        direction = lever / self.geometry.leg_lengths[leg]
-        ref = _AXIS[_FRAME_REF[leg]]
-        normal1 = np.cross(direction, ref)
-        norms = np.linalg.norm(normal1, axis=1)
+        p = pts.T
+        # the anchor is rho on the leg's drive axis and zero off it
+        lever = [p[c] - (rho[:, leg] if c == leg else 0.0) for c in range(3)]
+        direction = [c / self.geometry.leg_lengths[leg] for c in lever]
+        normal1 = _cross(direction, _AXIS[_FRAME_REF[leg]])
+        # summed in the order np.linalg.norm(normal1, axis=1) sums an (N, 3) row
+        norms = np.sqrt(normal1[0] * normal1[0] + normal1[1] * normal1[1] + normal1[2] * normal1[2])
         ok = norms >= 1e-9
-        normal1 = normal1 / np.where(ok, norms, 1.0)[:, None]
-        normal2 = np.cross(direction, normal1)
+        norms[~ok] = 1.0
+        normal1 = [c / norms for c in normal1]
+        normal2 = _cross(direction, normal1)
 
-        j_virtual = np.zeros((n, WRENCH_SIZE, 13))
-        j_virtual[:, :3, 0] = _AXIS[leg]
+        columns = np.zeros((13, WRENCH_SIZE, pts.shape[0]))
+        columns[0, :3] = _AXIS[leg][:, None]
         foot_axes = (_AXIS[leg], _AXIS[(leg + 1) % 3], _AXIS[(leg + 2) % 3])
         for m, axis in enumerate(foot_axes):
-            j_virtual[:, :3, 1 + m] = axis
-            j_virtual[:, :3, 4 + m] = np.cross(np.broadcast_to(axis, lever.shape), lever)
-            j_virtual[:, 3:, 4 + m] = axis
+            columns[1 + m, :3] = axis[:, None]
+            columns[4 + m, :3] = _cross(axis, lever)
+            columns[4 + m, 3:] = axis[:, None]
         for m, axis in enumerate((direction, normal1, normal2)):
-            j_virtual[:, :3, 7 + m] = axis
-            j_virtual[:, :3, 10 + m] = np.cross(axis, lever)
-            j_virtual[:, 3:, 10 + m] = axis
-
-        j_passive = np.zeros((n, WRENCH_SIZE, 2))
-        j_passive[:, :3, 0] = np.cross(normal1, lever)
-        j_passive[:, 3:, 0] = normal1
-        j_passive[:, :3, 1] = np.cross(normal2, lever)
-        j_passive[:, 3:, 1] = normal2
-        return ok, j_virtual, j_passive
+            columns[7 + m, :3] = axis
+            columns[10 + m, :3] = _cross(axis, lever)
+            columns[10 + m, 3:] = axis
+        return ok, columns.transpose(2, 1, 0), columns[11:].transpose(2, 1, 0)
 
     def chains(self, p) -> list[ChainModel]:
         """The three chain models at tool point ``p`` (raises Infeasible)."""
@@ -372,8 +378,8 @@ class OrthoglideStiffnessModel(_ValueSemantics):
                 raise Infeasible(f"leg {leg} aligned with its frame reference axis")
             models.append(
                 ChainModel(
-                    j_virtual=j_virtual[0],
-                    j_passive=j_passive[0],
+                    j_virtual=np.ascontiguousarray(j_virtual[0]),
+                    j_passive=np.ascontiguousarray(j_passive[0]),
                     k_virtual=self._spring_matrix(leg),
                 )
             )

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def orthoglide_config(**optimize):
     config = default_config()
     config["optimize"].update({"coarse_resolution": 8, "fine_resolution": 16, "budget": 40, "starts": 2, **optimize})
     return config
+
+
+@pytest.fixture
+def package_logger():
+    """The ``pkmforge`` logger; its level is restored after the test."""
+    logger = logging.getLogger("pkmforge")
+    level = logger.level
+    yield logger
+    logger.setLevel(level)
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -152,7 +162,7 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="planted"):
             cli(tmp_path, small_config(), command, *extra)
 
-    def test_unknown_log_level_is_config_error(self, monkeypatch, capsys):
+    def test_unknown_log_level_is_config_error(self, monkeypatch, capsys, package_logger):
         monkeypatch.setenv("PKM_FORGE_LOG", "verbose")
         assert main(["--version"]) == 2
         assert "PKM_FORGE_LOG='VERBOSE' is not a log level" in capsys.readouterr().err
@@ -160,6 +170,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exit_info:
             main(["--version"])
         assert exit_info.value.code == 0
+
+    def test_log_level_applies_when_root_logger_has_a_handler(self, monkeypatch, package_logger):
+        # logging.basicConfig does nothing here, so main must set the level itself
+        root = logging.getLogger()
+        handler, root_level = logging.NullHandler(), root.level
+        root.addHandler(handler)
+        try:
+            root.setLevel(logging.WARNING)
+            monkeypatch.setenv("PKM_FORGE_LOG", "DEBUG")
+            with pytest.raises(SystemExit):
+                main(["--version"])
+            assert package_logger.isEnabledFor(logging.DEBUG)
+            assert root.level == logging.WARNING
+        finally:
+            root.removeHandler(handler)
+            root.setLevel(root_level)
 
 
 class TestGridEval:

@@ -13,7 +13,7 @@ from conftest import signed_zero_values
 from pkmforge import stiffness
 from pkmforge.errors import EmptyInput, SingularStiffness, SingularSystem
 from pkmforge.grid import GridSpec, ThresholdPredicate, evaluate_mask, nested_cuboids
-from pkmforge.kinematics import GeometryParams, batch_inverse_kinematics, is_reachable
+from pkmforge.kinematics import GeometryParams, batch_inverse_kinematics, inverse_kinematics, is_reachable
 from pkmforge.stiffness import (
     CartesianStiffness,
     ChainModel,
@@ -489,6 +489,77 @@ class TestOrderedCompliance:
         reference_valid, reference_k = model.batch_cartesian_stiffness(points)
         assert valid.tobytes() == reference_valid.tobytes()
         assert k.tobytes() == reference_k.tobytes()
+
+
+def reference_leg_jacobians(model, pts, rho, leg):
+    """One leg's (ok, J_virtual (N, 6, 13), J_passive (N, 6, 2)) built with
+    ``np.cross`` and ``np.linalg.norm`` on (N, 3) rows."""
+    axes = np.eye(3)
+    n = pts.shape[0]
+    anchor = np.zeros((n, 3))
+    anchor[:, leg] = rho[:, leg]
+    lever = pts - anchor
+    direction = lever / model.geometry.leg_lengths[leg]
+    normal1 = np.cross(direction, axes[(1, 2, 0)[leg]])
+    norms = np.linalg.norm(normal1, axis=1)
+    ok = norms >= 1e-9
+    normal1 = normal1 / np.where(ok, norms, 1.0)[:, None]
+    normal2 = np.cross(direction, normal1)
+    j_virtual = np.zeros((n, 6, 13))
+    j_virtual[:, :3, 0] = axes[leg]
+    for m, axis in enumerate((axes[leg], axes[(leg + 1) % 3], axes[(leg + 2) % 3])):
+        j_virtual[:, :3, 1 + m] = axis
+        j_virtual[:, :3, 4 + m] = np.cross(np.broadcast_to(axis, lever.shape), lever)
+        j_virtual[:, 3:, 4 + m] = axis
+    for m, axis in enumerate((direction, normal1, normal2)):
+        j_virtual[:, :3, 7 + m] = axis
+        j_virtual[:, :3, 10 + m] = np.cross(axis, lever)
+        j_virtual[:, 3:, 10 + m] = axis
+    j_passive = np.zeros((n, 6, 2))
+    j_passive[:, :3, 0] = np.cross(normal1, lever)
+    j_passive[:, 3:, 0] = normal1
+    j_passive[:, :3, 1] = np.cross(normal2, lever)
+    j_passive[:, 3:, 1] = normal2
+    return ok, j_virtual, j_passive
+
+
+class TestLegJacobians:
+    """The per-component leg Jacobians keep every bit of the ``np.cross``
+    formulation, signed zeros and the aligned-leg guard included."""
+
+    @staticmethod
+    def assert_same_bits(actual, expected):
+        for got, reference in zip(actual, expected):
+            assert got.shape == reference.shape
+            assert got.tobytes() == reference.tobytes()
+
+    def test_rows_bitwise(self):
+        model, _ = default_model()
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-0.9, 0.9, size=(3000, 3))
+        # zero coordinates of either sign (x * 0.0 keeps x's sign), and a
+        # point where each leg in turn lies along its frame reference axis
+        points[:300] *= rng.random((300, 3)) < 0.5
+        aligned = np.zeros((3, 3))
+        aligned[[0, 1, 2], [1, 2, 0]] = model.geometry.leg_lengths
+        points = np.concatenate([points, aligned])
+        _, rho = batch_inverse_kinematics(points, model.geometry)
+        for leg in range(3):
+            ok, j_virtual, j_passive = model._leg_jacobians(points, rho, leg)
+            assert not ok[-3 + leg]
+            self.assert_same_bits((ok, j_virtual, j_passive), reference_leg_jacobians(model, points, rho, leg))
+            # one (13, 6, N) array, as _compliance reads it
+            assert np.transpose(j_virtual, (2, 1, 0)).flags.c_contiguous
+
+    def test_chains_keep_their_bits(self):
+        model, _ = default_model()
+        for point in ([0.1, -0.1, 0.2], [0.0, -0.0, 0.3], [-0.25, 0.2, 0.0]):
+            p = np.array(point)
+            rho = inverse_kinematics(p, model.geometry)
+            for leg, chain in enumerate(model.chains(p)):
+                _, j_virtual, j_passive = reference_leg_jacobians(model, p[None], rho[None], leg)
+                assert chain.j_virtual.flags.c_contiguous and chain.j_passive.flags.c_contiguous
+                self.assert_same_bits((chain.j_virtual, chain.j_passive), (j_virtual[0], j_passive[0]))
 
 
 class TestStiffnessPredicate:
