@@ -295,31 +295,34 @@ def _gram(m: np.ndarray) -> np.ndarray:
     are left out: ``x * 1.0 == x`` bit for bit (``1.0 * 1.0`` is ``1.0``),
     and every sum keeps its terms and their order.
     """
-    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.transpose(1, 2, 0)
+    # e[j, a] is entry (j, a) of every row, contiguous; entries are indexed
+    # where used, to keep few array objects alive (see sym_eigvals_3x3)
+    e = m.transpose(1, 2, 0)
     gram = np.empty((3, 3, m.shape[0]))
-    g00, g01, g02, g11, g12, g22 = (gram[a, b] for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
     term = np.empty(m.shape[0])
     # g00 = (1 + m10 m10) + m20 m20
-    np.add(1.0, np.multiply(m10, m10, out=g00), out=g00)
-    g00 += np.multiply(m20, m20, out=term)
+    g = np.multiply(e[1, 0], e[1, 0], out=gram[0, 0])
+    np.add(1.0, g, out=g)
+    g += np.multiply(e[2, 0], e[2, 0], out=term)
     # g01 = (m01 + m10) + m20 m21
-    np.add(m01, m10, out=g01)
-    g01 += np.multiply(m20, m21, out=term)
+    g = np.add(e[0, 1], e[1, 0], out=gram[0, 1])
+    g += np.multiply(e[2, 0], e[2, 1], out=term)
     # g02 = (m02 + m10 m12) + m20
-    np.add(m02, np.multiply(m10, m12, out=g02), out=g02)
-    g02 += m20
+    g = np.multiply(e[1, 0], e[1, 2], out=gram[0, 2])
+    np.add(e[0, 2], g, out=g)
+    g += e[2, 0]
     # g11 = (m01 m01 + 1) + m21 m21
-    np.multiply(m01, m01, out=g11)
-    g11 += 1.0
-    g11 += np.multiply(m21, m21, out=term)
+    g = np.multiply(e[0, 1], e[0, 1], out=gram[1, 1])
+    g += 1.0
+    g += np.multiply(e[2, 1], e[2, 1], out=term)
     # g12 = (m01 m02 + m12) + m21
-    np.multiply(m01, m02, out=g12)
-    g12 += m12
-    g12 += m21
+    g = np.multiply(e[0, 1], e[0, 2], out=gram[1, 2])
+    g += e[1, 2]
+    g += e[2, 1]
     # g22 = (m02 m02 + m12 m12) + 1
-    np.multiply(m02, m02, out=g22)
-    g22 += np.multiply(m12, m12, out=term)
-    g22 += 1.0
+    g = np.multiply(e[0, 2], e[0, 2], out=gram[2, 2])
+    g += np.multiply(e[1, 2], e[1, 2], out=term)
+    g += 1.0
     for a, b in ((0, 1), (0, 2), (1, 2)):
         gram[b, a] = gram[a, b]
     return gram.transpose(2, 0, 1)
