@@ -294,10 +294,12 @@ _AXIS = np.eye(3)
 _FRAME_REF = (1, 2, 0)
 
 
-def _cross(a, b) -> list:
-    """Components of the cross product of 3-vectors given as components
-    (arrays or scalars), each computed as ``np.cross`` does."""
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+def _cross(a, b, out: np.ndarray) -> None:
+    """Writes the cross product of the 3-vectors ``a`` and ``b`` (each a (3,)
+    axis or a (3, N) array of components) into the (3, N) ``out``, each
+    component computed as ``np.cross`` does, ``a1 * b2 - a2 * b1`` and so on."""
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(a[i] * b[j], a[j] * b[i], out=out[c])
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,29 +344,33 @@ class OrthoglideStiffnessModel(_ValueSemantics):
         product is written out per component in ``np.cross``'s own order,
         ``a1 * b2 - a2 * b1`` and so on, with the same bits.
         """
-        p = pts.T
+        n = pts.shape[0]
+        columns = np.zeros((13, WRENCH_SIZE, n))
+        # the leg's unit direction and normals are columns 7-9's first rows
+        direction, normal1, normal2 = columns[7, :3], columns[8, :3], columns[9, :3]
         # the anchor is rho on the leg's drive axis and zero off it
-        lever = [p[c] - (rho[:, leg] if c == leg else 0.0) for c in range(3)]
-        direction = [c / self.geometry.leg_lengths[leg] for c in lever]
-        normal1 = _cross(direction, _AXIS[_FRAME_REF[leg]])
+        lever = np.subtract(pts.T, 0.0, out=np.empty((3, n)))
+        np.subtract(pts[:, leg], rho[:, leg], out=lever[leg])
+        np.divide(lever, self.geometry.leg_lengths[leg], out=direction)
+        _cross(direction, _AXIS[_FRAME_REF[leg]], normal1)
         # summed in the order np.linalg.norm(normal1, axis=1) sums an (N, 3) row
-        norms = np.sqrt(normal1[0] * normal1[0] + normal1[1] * normal1[1] + normal1[2] * normal1[2])
+        norms = normal1[0] * normal1[0]
+        norms += normal1[1] * normal1[1]
+        norms += normal1[2] * normal1[2]
+        np.sqrt(norms, out=norms)
         ok = norms >= 1e-9
         norms[~ok] = 1.0
-        normal1 = [c / norms for c in normal1]
-        normal2 = _cross(direction, normal1)
+        normal1 /= norms
+        _cross(direction, normal1, normal2)
 
-        columns = np.zeros((13, WRENCH_SIZE, pts.shape[0]))
         columns[0, :3] = _AXIS[leg][:, None]
-        foot_axes = (_AXIS[leg], _AXIS[(leg + 1) % 3], _AXIS[(leg + 2) % 3])
-        for m, axis in enumerate(foot_axes):
+        for m, axis in enumerate((_AXIS[leg], _AXIS[(leg + 1) % 3], _AXIS[(leg + 2) % 3])):
             columns[1 + m, :3] = axis[:, None]
-            columns[4 + m, :3] = _cross(axis, lever)
+            _cross(axis, lever, columns[4 + m, :3])
             columns[4 + m, 3:] = axis[:, None]
-        for m, axis in enumerate((direction, normal1, normal2)):
-            columns[7 + m, :3] = axis
-            columns[10 + m, :3] = _cross(axis, lever)
-            columns[10 + m, 3:] = axis
+        for m in range(3):
+            _cross(columns[7 + m, :3], lever, columns[10 + m, :3])
+        columns[10:, 3:] = columns[7:10, :3]
         return ok, columns.transpose(2, 1, 0), columns[11:].transpose(2, 1, 0)
 
     def chains(self, p) -> list[ChainModel]:
