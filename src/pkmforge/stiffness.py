@@ -368,8 +368,8 @@ class OrthoglideStiffnessModel(_ValueSemantics):
             columns[1 + m, :3] = axis[:, None]
             _cross(axis, lever, columns[4 + m, :3])
             columns[4 + m, 3:] = axis[:, None]
-        for m in range(3):
-            _cross(columns[7 + m, :3], lever, columns[10 + m, :3])
+        for m, axis in enumerate((direction, normal1, normal2)):
+            _cross(axis, lever, columns[10 + m, :3])
         columns[10:, 3:] = columns[7:10, :3]
         return ok, columns.transpose(2, 1, 0), columns[11:].transpose(2, 1, 0)
 
