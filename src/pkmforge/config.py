@@ -4,6 +4,11 @@ All physical quantities are SI: lengths in m, stiffness in N/m, moduli in
 Pa, wrenches in N and N*m, masses in kg, drive forces in N, accelerations
 in m/s^2.  Unknown keys are rejected so typos fail fast instead of being
 silently ignored.
+
+``CONFIG_SCHEMA`` (draft-07) is checked by a walker of just the keywords it
+uses: ``type``, ``const``, ``enum``, ``minimum``, ``exclusiveMinimum``,
+``items``, ``minItems``, ``maxItems``, ``required``, ``properties``,
+``additionalProperties: false`` and ``oneOf``.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import numbers
 
-import jsonschema
 import numpy as np
 
 from .dynamics import DynamicSpec, InertiaModel
@@ -249,14 +254,76 @@ def _merge_defaults(config: dict) -> dict:
     return merged
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "null": type(None), "number": numbers.Number, "integer": int}
+
+
+def _is(value, name: str) -> bool:
+    """Draft-07 ``type``: a bool is neither a number nor an integer, and ``1.0`` is an integer."""
+    if isinstance(value, bool) and name in ("number", "integer"):
+        return False
+    return isinstance(value, _TYPES[name]) or name == "integer" and isinstance(value, float) and value.is_integer()
+
+
+class _Invalid(Exception):
+    """A schema fault; its ``args`` are the path (a tuple) and the message."""
+
+
+def _check(value, schema: dict, path: tuple = ()):
+    """``value`` checked against ``schema``, rebuilt with integers as ``int``; raises ``_Invalid``
+    at the first fault, a container's own before its members', and for a failed ``oneOf`` the
+    deepest branch fault, the error a draft-07 validator's ``best_match`` picks."""
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_is(value, name) for name in names):
+            raise _Invalid(path, f"{value!r} is not of type {', '.join(map(repr, names))}")
+        if names == ["integer"]:
+            value = int(value)
+    options = schema.get("enum", [schema["const"]] if "const" in schema else None)
+    if options is not None and not any(o == value and isinstance(o, bool) == isinstance(value, bool) for o in options):
+        raise _Invalid(path, f"{value!r} is not one of {options!r}")
+    if _is(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise _Invalid(path, f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise _Invalid(path, f"{value!r} is less than or equal to the minimum of {schema['exclusiveMinimum']!r}")
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            raise _Invalid(path, f"{value!r} should have {schema.get('minItems', 0)} to {schema.get('maxItems')} items")
+        if "items" in schema:
+            value = [_check(item, schema["items"], (*path, i)) for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            raise _Invalid(path, f"{missing[0]!r} is a required property")
+        properties = schema.get("properties", {})
+        extra = [key for key in value if key not in properties]
+        if extra and schema.get("additionalProperties", True) is False:
+            raise _Invalid(path, f"additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)")
+        value = {k: _check(v, properties[k], (*path, k)) if k in properties else v for k, v in value.items()}
+    if "oneOf" in schema:
+        matches, faults = [], []
+        for branch in schema["oneOf"]:
+            try:
+                matches.append(_check(value, branch, path))
+            except _Invalid as exc:
+                faults.append(exc)
+        if len(matches) == 1:
+            return matches[0]
+        depths = sorted(len(exc.args[0]) for exc in faults)
+        if not matches and depths.count(depths[-1]) == 1:
+            raise max(faults, key=lambda exc: len(exc.args[0]))
+        raise _Invalid(path, f"{value!r} is valid under {len(matches)} of the given schemas, not exactly one")
+    return value
+
+
 def validate_config(config: dict) -> dict:
     """Schema-check a configuration dict and fill defaulted keys."""
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise ConfigError(f"config invalid at '{path}': {exc.message}") from exc
-    return _merge_defaults(config)
+        checked = _check(config, CONFIG_SCHEMA)
+    except _Invalid as exc:
+        path, message = exc.args
+        raise ConfigError(f"config invalid at '{'/'.join(map(str, path))}': {message}") from None
+    return _merge_defaults(checked)
 
 
 def load_config(path) -> dict:

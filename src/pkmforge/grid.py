@@ -20,7 +20,6 @@ search.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -211,8 +210,8 @@ class ScalarField:
 
 class ThresholdPredicate:
     """Feasibility predicate ``field <= bound`` (or >= for lower bounds) over
-    (N, 3) positions, through the field's batch path; NaN field values are
-    infeasible."""
+    (N, 3) positions, through the field's batch path; NaN field values compare
+    False either way, so they are infeasible."""
 
     def __init__(self, field: ScalarField, bound: float, feasible_when: str = "below"):
         if feasible_when not in ("below", "above"):
@@ -221,15 +220,12 @@ class ThresholdPredicate:
         self.bound = float(bound)
         self.feasible_when = feasible_when
 
-    def _compare(self, values):
+    def batch(self, positions: np.ndarray) -> np.ndarray:
+        values = self.field.batch(positions)
         with np.errstate(invalid="ignore"):
             if self.feasible_when == "below":
                 return values <= self.bound
             return values >= self.bound
-
-    def batch(self, positions: np.ndarray) -> np.ndarray:
-        values = self.field.batch(positions)
-        return np.where(np.isnan(values), False, self._compare(values))
 
 
 def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
@@ -387,28 +383,3 @@ def load_mask(path) -> FeasibilityMask:
         count = dims[0] * dims[1] * dims[2]
         bits = np.unpackbits(archive["bits"])[:count]
     return FeasibilityMask(bits.reshape(dims).astype(bool))
-
-
-def mask_to_csv(path, mask: FeasibilityMask) -> None:
-    """Write the mask as (i, j, k, value) rows, C order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "k", "value"])
-        for (i, j, k), value in np.ndenumerate(mask.data):
-            writer.writerow([i, j, k, int(value)])
-
-
-def mask_from_csv(path) -> FeasibilityMask:
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != ["i", "j", "k", "value"]:
-            raise ValueError(f"unexpected mask CSV header: {header}")
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), int(row[2]), int(row[3])))
-    dims = tuple(max(r[a] for r in rows) + 1 for a in range(3))
-    data = np.zeros(dims, dtype=bool)
-    for i, j, k, value in rows:
-        data[i, j, k] = bool(value)
-    return FeasibilityMask(data)

@@ -113,14 +113,6 @@ def inverse_kinematics(p, geometry: GeometryParams) -> np.ndarray:
     return rho
 
 
-def is_reachable(p, geometry: GeometryParams) -> bool:
-    try:
-        inverse_kinematics(p, geometry)
-    except Infeasible:
-        return False
-    return True
-
-
 def _constraint_jacobian(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Derivative of the three leg residuals with respect to ``p``."""
     jac = np.empty((3, 3))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pkmforge.errors import Infeasible
 from pkmforge.kinematics import GeometryParams, inverse_kinematics
 
 
@@ -16,6 +17,16 @@ def symmetric_geometry():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240101)
+
+
+def reachable(p, geometry) -> bool:
+    """Per-pose reachability through the scalar inverse kinematics, an oracle
+    independent of the batch sweep."""
+    try:
+        inverse_kinematics(p, geometry)
+    except Infeasible:
+        return False
+    return True
 
 
 def sample_reachable_points(geometry, rng, count, box=0.45, sigma_min_floor=None):

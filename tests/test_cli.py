@@ -1,9 +1,14 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pkmforge
 from pkmforge import cli as cli_module
 from pkmforge import kinematics
 from pkmforge.cli import main
@@ -382,6 +387,21 @@ class TestOptimize:
         assert abs(lam_a - lam_b) <= 1e-4
 
 
+    @pytest.mark.parametrize(
+        "section, key, value, twin",
+        [(None, "seed", 1.0, 1), ("optimize", "starts", 2.0, 2)],
+    )
+    def test_integral_float_runs_as_its_integer_twin(self, tmp_path, section, key, value, twin):
+        def run(number, out_name):
+            config = small_config()
+            (config[section] if section else config)[key] = number
+            code, out = cli(tmp_path, config, "optimize", out_name=out_name)
+            assert code == 0
+            return (out / "attainment.json").read_bytes()
+
+        assert run(value, "float") == run(twin, "int")
+
+
 class TestOrthoglide:
     def direct_problem(self, config, resolution):
         section = config["optimize"]
@@ -479,3 +499,46 @@ class TestReport:
         a.pop("timing")
         b.pop("timing")
         assert a == b
+
+
+# runs the CLI in a process where any import of jsonschema fails
+REFUSE_JSONSCHEMA = """
+import sys
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "jsonschema":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, Refuse())
+from pkmforge.cli import main
+
+code = main(sys.argv[1:])
+assert "jsonschema" not in sys.modules
+sys.exit(code)
+"""
+
+
+class TestRuntimeDependencies:
+    def test_report_runs_without_jsonschema(self, tmp_path):
+        path = write_config(tmp_path, default_config())
+        src = str(Path(pkmforge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = ["report", "--config", str(path), "--resolution", "8", "--out"]
+        refused = subprocess.run(
+            [sys.executable, "-c", REFUSE_JSONSCHEMA, *command, str(tmp_path / "refused")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert refused.returncode == 0, refused.stderr
+        assert main([*command, str(tmp_path / "importable")]) == 0
+        reports = []
+        for name in ("refused", "importable"):
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            del report["timing"]
+            reports.append(report)
+        assert reports[0] == reports[1]

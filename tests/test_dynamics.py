@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_reachable_points, signed_zero_values
+from conftest import reachable, sample_reachable_points, signed_zero_values
 from pkmforge import dynamics, stiffness
 from pkmforge._spectral import sym_eigvals_3x3
 from pkmforge.dynamics import (
@@ -21,7 +21,7 @@ from pkmforge.dynamics import (
 )
 from pkmforge.errors import SingularJacobian
 from pkmforge.grid import GridSpec, evaluate_mask, nested_cuboids
-from pkmforge.kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, is_reachable, jacobian
+from pkmforge.kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, jacobian
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -373,7 +373,7 @@ class TestPredicates:
         )
         mask = evaluate_mask(spec, predicate)
         for (i, j, k), value in np.ndenumerate(mask.data):
-            assert value == is_reachable(spec.node_position((i, j, k)), symmetric_geometry)
+            assert value == reachable(spec.node_position((i, j, k)), symmetric_geometry)
 
     def test_zero_min_acceleration_reduces_to_reachability(self, symmetric_geometry):
         spec = self.grid()
@@ -382,7 +382,7 @@ class TestPredicates:
         )
         mask = evaluate_mask(spec, predicate)
         for (i, j, k), value in np.ndenumerate(mask.data):
-            assert value == is_reachable(spec.node_position((i, j, k)), symmetric_geometry)
+            assert value == reachable(spec.node_position((i, j, k)), symmetric_geometry)
 
     def test_unattainable_bound_rejects_everything(self, symmetric_geometry):
         spec = self.grid()

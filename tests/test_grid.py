@@ -21,8 +21,6 @@ from pkmforge.grid import (
     evaluate_mask,
     largest_cuboid,
     load_mask,
-    mask_from_csv,
-    mask_to_csv,
     nested_cuboids,
     save_mask,
 )
@@ -172,6 +170,19 @@ class TestEvaluateMask:
             mask = evaluate_mask(spec, ThresholdPredicate(field, 0.0, feasible_when))
             assert not mask.data[0].any()
             assert mask.data[1:].all()
+
+    @pytest.mark.parametrize("bound", [0.5, 0.0, np.inf, -np.inf])
+    @pytest.mark.parametrize("feasible_when", ["below", "above"])
+    def test_threshold_flags_match_nan_masked_comparison(self, feasible_when, bound):
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, 1.0, -1.0, bound])
+        values = np.concatenate([values, np.nextafter(bound, [-np.inf, np.inf])])
+        field = ScalarField(lambda p: 0.0, lambda pts: values)
+        flags = ThresholdPredicate(field, bound, feasible_when).batch(np.zeros((values.size, 3)))
+        compare = np.less_equal if feasible_when == "below" else np.greater_equal
+        with np.errstate(invalid="ignore"):
+            expected = np.where(np.isnan(values), False, compare(values, bound))
+        assert flags.dtype == bool
+        assert np.array_equal(flags, expected)
 
     def test_plain_callable_is_rejected(self):
         calls = []
@@ -413,12 +424,6 @@ class TestSerialization:
         path = tmp_path / "mask.npz"
         save_mask(path, mask)
         assert np.array_equal(load_mask(path).data, mask.data)
-
-    def test_mask_csv_round_trip(self, tmp_path, rng):
-        mask = FeasibilityMask(rng.random((4, 3, 5)) < 0.5)
-        path = tmp_path / "mask.csv"
-        mask_to_csv(path, mask)
-        assert np.array_equal(mask_from_csv(path).data, mask.data)
 
     def test_cuboid_result_dict_round_trip(self):
         spec = make_spec((4, 4, 4))

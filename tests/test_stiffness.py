@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from conftest import signed_zero_values
+from conftest import reachable, signed_zero_values
 
 from pkmforge import stiffness
 from pkmforge.errors import EmptyInput, SingularStiffness, SingularSystem
 from pkmforge.grid import GridSpec, ThresholdPredicate, evaluate_mask, nested_cuboids
-from pkmforge.kinematics import GeometryParams, batch_inverse_kinematics, inverse_kinematics, is_reachable
+from pkmforge.kinematics import GeometryParams, batch_inverse_kinematics, inverse_kinematics
 from pkmforge.stiffness import (
     CartesianStiffness,
     ChainModel,
@@ -250,7 +250,7 @@ class TestOrthoglideModel:
     def test_batch_row_matches_block_system(self, point):
         model, _ = default_model()
         p = np.array(point)
-        assume(is_reachable(p, model.geometry))
+        assume(reachable(p, model.geometry))
         valid, stiffness = model.batch_cartesian_stiffness(p[None])
         reference = model.cartesian_stiffness(p).matrix
         assert valid[0]
@@ -568,10 +568,8 @@ class TestStiffnessPredicate:
         spec = GridSpec(origin=(-0.6, -0.6, -0.6), proportions=(1, 1, 1), resolution=8, dims=(11, 11, 11))
         predicate = stiffness_predicate(model, StiffnessSpec(load=[0, 200, 200, 0, 0, 0], deflection_limit=1e30))
         mask = evaluate_mask(spec, predicate)
-        from pkmforge.kinematics import is_reachable
-
         for (i, j, k), value in np.ndenumerate(mask.data):
-            assert value == is_reachable(spec.node_position((i, j, k)), model.geometry)
+            assert value == reachable(spec.node_position((i, j, k)), model.geometry)
 
     def test_zero_limit_rejects_everything(self):
         model, _ = default_model()
