@@ -77,6 +77,8 @@ class GridSpec(_ValueSemantics):
         dims = tuple(int(d) for d in np.asarray(self.dims).ravel())
         if origin.shape != (3,) or props.shape != (3,):
             raise ValueError("origin and proportions must be 3-vectors")
+        if not (np.isfinite(origin).all() and np.isfinite(props).all()):
+            raise ValueError(f"origin and proportions must be finite: {origin}, {props}")
         if np.any(props <= 0.0):
             raise ValueError(f"proportions must be positive: {props}")
         if int(self.resolution) < 1:

@@ -470,10 +470,69 @@ class OrthoglideStiffnessModel(_ValueSemantics):
         return translational_deflection(*self.batch_cartesian_stiffness(positions), load)
 
 
+def _certified_conditioned(k_sym: np.ndarray) -> np.ndarray:
+    """Flags the rows of an (n, 6, 6) stack of symmetric matrices on which
+    ``eigvalsh`` is certain to find ``lambda_min > lambda_max /
+    CONDITION_LIMIT``; a row left unflagged is undecided, not refused.
+
+    A row is flagged when the Cholesky factorisation of ``A = K - t I``,
+    ``t = 1000 ||K||_F / CONDITION_LIMIT = 1e-9 ||K||_F``, has every pivot
+    strictly positive.  Why that is sound, with u = 2**-53 and n = 6:
+
+    - A Cholesky that runs to completion in floating point, in any order of
+      its sums, gives ``R^T R = A + dA`` with ``|dA| <= g |R^T| |R|``,
+      ``g = (n + 1) u / (1 - (n + 1) u)``, and ``|| |R^T| |R| ||_2 <= n
+      ||R||_2**2`` (Higham, Accuracy and Stability of Numerical Algorithms,
+      2nd ed., 2002, section 10.1).  Positive pivots make ``A + dA``
+      positive definite, so ``lambda_min(A) > -||dA||_2``, which is at most
+      about ``n g ||A||_2 < 50 u ||K||_2`` once the rounding of the diagonal
+      shift is counted.  Hence ``lambda_min(K) > t - 50 u ||K||_2 >= (1e-9
+      - 6e-15) ||K||_2``, as ``||K||_F >= ||K||_2``: K is positive definite
+      with ``lambda_max = ||K||_2``.
+    - ``eigvalsh`` computes each eigenvalue within ``p(n) u ||K||_2``, p a
+      modestly growing function (LAPACK Users' Guide, 3rd ed., section
+      4.7).  Its decision ``lambda_min > lambda_max / 1e12`` could then fail
+      only if ``p(6) u`` neared 1e-9, a p of millions: the shift t leaves
+      a margin of about 1000x over the ratio the guard asks for.
+    - The bounds hold without underflow or overflow.  Only rows with
+      ``||K||_F**2`` normal and finite are flagged.  Then no entry or
+      product of the factorisation exceeds about ``||K||_F < 1e155``, and
+      all underflows together perturb A by less than 1e-240, far under
+      ``t >= 1e-163``.  NaN and +-inf entries give a NaN or infinite norm
+      and an all-zero row a zero one, so none of them is flagged.
+
+    The factorisation is right-looking over the lower triangle and
+    vectorised over the rows; its bits reach no output.
+    """
+    a = np.ascontiguousarray(np.transpose(k_sym, (1, 2, 0)))  # (6, 6, n)
+    squares = np.einsum("ijn,ijn->n", a, a)
+    shift = (1e3 / CONDITION_LIMIT) * np.sqrt(squares)
+    certified = (squares >= np.finfo(float).tiny) & (squares < np.inf)
+    with np.errstate(all="ignore"):  # rows that fail run on as NaN or inf
+        for j in range(WRENCH_SIZE):
+            pivot = a[j, j] - shift
+            certified &= pivot > 0.0
+            column = a[j + 1 :, j] / np.sqrt(pivot)
+            for i in range(j + 1, WRENCH_SIZE):
+                a[i, j + 1 : i + 1] -= column[i - j - 1] * column[: i - j]
+    return certified
+
+
 def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
     """Translational deflection norm under ``load`` for ``batch_cartesian_stiffness``'s
     (valid, K); returns (solved, values), NaN where invalid or ill-conditioned.
-    Runs per block of rows on every CPU, like the stiffness sweep."""
+    Runs per block of rows on every CPU, like the stiffness sweep.
+
+    A valid row is solved when the eigenvalues ``eigvalsh`` computes for
+    ``K_sym = (K + K^T) / 2`` satisfy ``lambda_min > lambda_max /
+    CONDITION_LIMIT``.  Most rows never reach ``eigvalsh``: a Cholesky of
+    ``K_sym - t I``, ``t = 1e-9 ||K_sym||_F``, with every pivot positive
+    proves ``lambda_min(K_sym) > ~t >= 1e-9 lambda_max``, about 1000 times
+    the ratio the guard asks for, more than ``eigvalsh``'s rounding can take
+    away, so that row's decision is the same (see
+    ``_certified_conditioned``).  Only the rows it leaves undecided go to
+    ``eigvalsh``.  The solve is ``np.linalg.solve`` on K itself.
+    """
     f = np.asarray(load, dtype=float)
     values = np.full(stiffness.shape[0], np.nan)
     solved = np.zeros_like(valid)
@@ -483,8 +542,13 @@ def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
         if not solvable.size:
             return
         k_sub = stiffness[solvable]
-        eigenvalues = np.linalg.eigvalsh(0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1))))
-        solvable = solvable[eigenvalues[:, 0] > eigenvalues[:, -1] / CONDITION_LIMIT]
+        k_sym = 0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1)))
+        conditioned = _certified_conditioned(k_sym)
+        undecided = np.flatnonzero(~conditioned)
+        if undecided.size:
+            eigenvalues = np.linalg.eigvalsh(k_sym[undecided])
+            conditioned[undecided] = eigenvalues[:, 0] > eigenvalues[:, -1] / CONDITION_LIMIT
+        solvable = solvable[conditioned]
         if solvable.size:
             rhs = np.tile(f.reshape(1, WRENCH_SIZE, 1), (solvable.size, 1, 1))
             twists = np.linalg.solve(stiffness[solvable], rhs)[:, :, 0]

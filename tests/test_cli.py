@@ -147,6 +147,13 @@ class TestExitCodes:
             pytest.param(
                 "pareto", "optimize", {"length_bounds": [3.0, 0.7], "pareto_weights": [[1, 1, 1]]}, (), id="bounds"
             ),
+            # json reads NaN, and draft-07 counts it as a number
+            pytest.param(
+                "report", "grid", {"origin": [float("nan"), -0.75, -0.75]}, ("--resolution", "8"), id="nan-origin"
+            ),
+            pytest.param(
+                "report", "grid", {"proportions": [1.0, float("nan"), 1.0]}, ("--resolution", "8"), id="nan-proportions"
+            ),
         ],
     )
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys, command, section, values, extra):

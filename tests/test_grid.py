@@ -146,6 +146,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             make_spec((4, 4, 4), proportions=(1.0, -1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["origin", "proportions"])
+    def test_non_finite_vectors_are_rejected(self, field, bad):
+        # NaN slips through the positivity test and a NaN or inf origin
+        # through none; such a grid would read as "no workspace"
+        vector = [1.0, 1.0, 1.0]
+        vector[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_spec((4, 4, 4), **{field: vector})
+
 
 class TestEvaluateMask:
     def test_constant_true(self):

@@ -418,6 +418,157 @@ class TestBlockedSweep:
             assert x[:, :6].tobytes() == np.linalg.inv(a)[:, :6, :6].tobytes()
 
 
+def eigvalsh_only_deflection(valid, stiffness_, load):
+    """``translational_deflection`` as it was before the Cholesky check, with
+    every row's condition guard decided by ``eigvalsh``: the bit oracle."""
+    f = np.asarray(load, dtype=float)
+    values = np.full(stiffness_.shape[0], np.nan)
+    solved = np.zeros_like(valid)
+
+    def block(rows):
+        solvable = np.flatnonzero(valid[rows]) + rows.start
+        if not solvable.size:
+            return
+        k_sub = stiffness_[solvable]
+        eigenvalues = np.linalg.eigvalsh(0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1))))
+        solvable = solvable[eigenvalues[:, 0] > eigenvalues[:, -1] / stiffness.CONDITION_LIMIT]
+        if solvable.size:
+            rhs = np.tile(f.reshape(1, 6, 1), (solvable.size, 1, 1))
+            twists = np.linalg.solve(stiffness_[solvable], rhs)[:, :, 0]
+            values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
+            solved[solvable] = True
+
+    stiffness._sweep_blocks(stiffness_.shape[0], block)
+    return solved, values
+
+
+def spd_with_spectrum(rng, eigenvalues):
+    """Q diag(eigenvalues) Q^T for a random rotation Q."""
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    return (q * eigenvalues) @ q.T
+
+
+def oracle_guard(k):
+    """``eigvalsh_only_deflection``'s condition guard on one 6x6 matrix."""
+    eigenvalues = np.linalg.eigvalsh(0.5 * (k + k.T))
+    return bool(eigenvalues[0] > eigenvalues[-1] / stiffness.CONDITION_LIMIT)
+
+
+class TestConditionGuard:
+    """The Cholesky check decides only rows on which ``eigvalsh`` would say
+    "conditioned"; every other row reaches ``eigvalsh`` as before, so the
+    output keeps the bits of the ``eigvalsh``-only guard."""
+
+    BLOCK = stiffness.SWEEP_BLOCK_ROWS
+    LOAD = np.array([100.0, -50.0, 80.0, 3.0, -2.0, 1.0])
+    # condition numbers of the planted SPD rows, on both sides of 1e12
+    CONDITIONS = (1e9, 1e11, 5e11, 9e11, 1.1e12, 2e12, 1e13)
+
+    @classmethod
+    def rows(cls):
+        """(valid, K, undecided) over four blocks: well-conditioned SPD
+        rows in stiffness units, some not symmetric, and planted rows that
+        the check must leave to ``eigvalsh``; ``undecided`` flags those."""
+        rng = np.random.default_rng(12)
+        n = 3 * cls.BLOCK + 100
+        k = np.stack([spd_with_spectrum(rng, 1e7 * np.logspace(0, -rng.uniform(0, 4), 6)) for _ in range(n)])
+        skew = rng.normal(size=(n, 6, 6))
+        k[::5] += 1e3 * (skew[::5] - np.transpose(skew[::5], (0, 2, 1)))
+        valid = np.ones(n, dtype=bool)
+        undecided = np.zeros(n, dtype=bool)
+        planted = []
+        for condition in cls.CONDITIONS:
+            for scale in (1e-3, 1e7):
+                planted.append(spd_with_spectrum(rng, scale * np.logspace(0, -np.log10(condition), 6)))
+        asymmetric = spd_with_spectrum(rng, 1e7 * np.logspace(0, -13, 6))
+        planted.append(asymmetric + 1e-2 * (skew[0] - skew[0].T))
+        planted.append(np.zeros((6, 6)))
+        # ||K||_F**2 underflows: the check must not certify on a zero shift
+        planted.append(spd_with_spectrum(rng, 1e-170 * np.logspace(0, -13, 6)))
+        # ||K||_F**2 overflows
+        planted.append(spd_with_spectrum(rng, 1e160 * np.logspace(0, -2, 6)))
+        # at block edges and spread through every block
+        edges = [0, cls.BLOCK - 1, cls.BLOCK, 2 * cls.BLOCK, n - 1]
+        inner = rng.choice(np.setdiff1d(np.arange(n), edges), len(planted) - len(edges), replace=False)
+        at = np.concatenate([edges, inner])
+        assert np.unique(at // cls.BLOCK).size == 4
+        k[at] = planted
+        undecided[at] = True
+        # rows the sweep flagged invalid hold anything and reach no guard
+        invalid = rng.choice(np.flatnonzero(~undecided), 30, replace=False)
+        valid[invalid] = False
+        k[invalid[:10]] = np.nan
+        k[invalid[10:20]] = np.inf
+        k[invalid[20:]] = -np.inf
+        return valid, k, undecided
+
+    @staticmethod
+    def counting_eigvalsh(monkeypatch):
+        """Patches ``np.linalg.eigvalsh`` to record each matrix it sees."""
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+
+        def recording(a):
+            seen.extend(a.reshape(-1, 6, 6).copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        return seen
+
+    @staticmethod
+    def sorted_bytes(matrices):
+        return sorted(m.tobytes() for m in matrices)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_matches_eigvalsh_only_guard_bitwise(self, monkeypatch, cpus):
+        valid, k, undecided = self.rows()
+        TestBlockedSweep.on_cpus(monkeypatch, cpus)
+        reference = eigvalsh_only_deflection(valid, k, self.LOAD)
+        # the planted rows fall on both sides of the guard
+        assert reference[0][undecided].any() and not reference[0][undecided].all()
+        assert reference[0][valid & ~undecided].all()
+        seen = self.counting_eigvalsh(monkeypatch)
+        solved, values = stiffness.translational_deflection(valid, k, self.LOAD)
+        monkeypatch.undo()
+        assert solved.tobytes() == reference[0].tobytes()
+        assert values.tobytes() == reference[1].tobytes()
+        # exactly the planted rows reach eigvalsh, as the symmetric part
+        k_sym = 0.5 * (k + np.transpose(k, (0, 2, 1)))
+        assert self.sorted_bytes(seen) == self.sorted_bytes(k_sym[undecided])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_valid_row_reaches_eigvalsh(self, monkeypatch, bad):
+        # eigvalsh raises on such a row, for the whole block, as it did
+        valid, k, _ = self.rows()
+        k[self.BLOCK + 3, 2, 2] = bad
+        TestBlockedSweep.on_cpus(monkeypatch, 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            eigvalsh_only_deflection(valid, k, self.LOAD)
+        seen = self.counting_eigvalsh(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError):
+            stiffness.translational_deflection(valid, k, self.LOAD)
+        monkeypatch.undo()
+        assert any(not np.isfinite(m).all() for m in seen)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=400)
+    @given(
+        log_condition=st.floats(0.0, 14.0),
+        log_scale=st.floats(-6.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certified_row_passes_eigvalsh_guard_property(self, log_condition, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        inner = np.sort(rng.uniform(-log_condition, 0.0, size=4))
+        spectrum = 10.0 ** np.concatenate([[-log_condition], inner, [0.0]]) * 10.0**log_scale
+        k = spd_with_spectrum(rng, spectrum)
+        k_sym = 0.5 * (k + k.T)
+        certified = stiffness._certified_conditioned(k_sym[None])[0]
+        if certified:
+            assert oracle_guard(k)
+        if log_condition <= 8.0:  # the check leaves a margin, not a gap
+            assert certified
+
+
 class TestOrderedCompliance:
     """``_compliance`` keeps every bit of the einsum it replaced, signed zeros
     included, and so the sweep does too."""
