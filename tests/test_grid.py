@@ -149,8 +149,8 @@ class TestGridSpec:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["origin", "proportions"])
     def test_non_finite_vectors_are_rejected(self, field, bad):
-        # NaN slips through the positivity test and a NaN or inf origin
-        # through none; such a grid would read as "no workspace"
+        # NaN and +inf pass the positivity test, and a non-finite origin
+        # every other check; such a grid would read as "no workspace"
         vector = [1.0, 1.0, 1.0]
         vector[1] = bad
         with pytest.raises(ValueError, match="finite"):
