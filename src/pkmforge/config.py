@@ -8,7 +8,9 @@ silently ignored.
 ``CONFIG_SCHEMA`` (draft-07) is checked by a walker of just the keywords it
 uses: ``type``, ``const``, ``enum``, ``minimum``, ``exclusiveMinimum``,
 ``items``, ``minItems``, ``maxItems``, ``required``, ``properties``,
-``additionalProperties: false`` and ``oneOf``.
+``additionalProperties: false``, ``oneOf`` and ``default``.  Each default
+sits on its property; the walker fills a missing property with a copy of
+its default, so a validated config has every defaulted key.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ CONFIG_SCHEMA = {
     "required": ["schema_version", "geometry", "grid"],
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "default": 20240101},
         "geometry": {
             "type": "object",
             "additionalProperties": False,
@@ -78,6 +80,7 @@ CONFIG_SCHEMA = {
                     "items": {"enum": [-1, 1]},
                     "minItems": 3,
                     "maxItems": 3,
+                    "default": [-1, -1, -1],
                 },
             },
         },
@@ -97,13 +100,16 @@ CONFIG_SCHEMA = {
                 },
             },
         },
+        # kinematic, optimize and output default to {} and so exist in every
+        # validated config; stiffness and dynamics stay absent unless configured
         "kinematic": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "cond_max": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "sigma_range": {"oneOf": [{"type": "null"}, _vec(2, exclusive_minimum=0)]},
+                "cond_max": {"type": ["number", "null"], "exclusiveMinimum": 0, "default": 3.0},
+                "sigma_range": {"oneOf": [{"type": "null"}, _vec(2, exclusive_minimum=0)], "default": None},
             },
+            "default": {},
         },
         "stiffness": {
             "type": "object",
@@ -135,7 +141,7 @@ CONFIG_SCHEMA = {
                 "inertia_bound": {"type": "number", "exclusiveMinimum": 0},
                 "min_acceleration": {"type": "number", "minimum": 0},
                 "torque_limits": _vec(3, exclusive_minimum=0),
-                "acceleration_mode": {"enum": ["ball", "max"]},
+                "acceleration_mode": {"enum": ["ball", "max"], "default": "ball"},
             },
         },
         "optimize": {
@@ -149,62 +155,47 @@ CONFIG_SCHEMA = {
                         "over_attained",
                         "linear_minimax",
                         "biobjective_front",
-                    ]
+                    ],
+                    "default": "orthoglide",
                 },
-                "target": _vec(3, exclusive_minimum=0),
-                "sigma_range": _vec(2, exclusive_minimum=0),
-                "length_bounds": _vec(2, exclusive_minimum=0),
-                "span_bounds": _vec(2, exclusive_minimum=0),
-                "budget": {"type": "integer", "minimum": 1},
-                "starts": {"type": "integer", "minimum": 1},
-                "coarse_resolution": {"type": "integer", "minimum": 2},
-                "fine_resolution": {"type": "integer", "minimum": 2},
+                "target": _vec(3, exclusive_minimum=0) | {"default": [1.0, 1.0, 0.8]},
+                "sigma_range": _vec(2, exclusive_minimum=0) | {"default": [0.5, 2.0]},
+                "length_bounds": _vec(2, exclusive_minimum=0) | {"default": [0.7, 3.0]},
+                "span_bounds": _vec(2, exclusive_minimum=0) | {"default": [0.4, 3.4]},
+                "budget": {"type": "integer", "minimum": 1, "default": 900},
+                "starts": {"type": "integer", "minimum": 1, "default": 4},
+                "coarse_resolution": {"type": "integer", "minimum": 2, "default": 16},
+                "fine_resolution": {"type": "integer", "minimum": 2, "default": 64},
                 "pareto_weights": {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
                     "minItems": 1,
                 },
             },
+            "default": {},
         },
         "output": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "directory": {"type": "string"},
+                "directory": {"type": "string", "default": "out"},
                 "formats": {
                     "type": "array",
                     "items": {"enum": ["csv", "json"]},
                     "minItems": 1,
+                    "default": ["csv", "json"],
                 },
             },
+            "default": {},
         },
     },
-}
-
-_DEFAULTS = {
-    "seed": 20240101,
-    "geometry": {"assembly_signs": [-1, -1, -1]},
-    "kinematic": {"cond_max": 3.0, "sigma_range": None},
-    "dynamics": {"acceleration_mode": "ball"},
-    "optimize": {
-        "preset": "orthoglide",
-        "target": [1.0, 1.0, 0.8],
-        "sigma_range": [0.5, 2.0],
-        "length_bounds": [0.7, 3.0],
-        "span_bounds": [0.4, 3.4],
-        "budget": 900,
-        "starts": 4,
-        "coarse_resolution": 16,
-        "fine_resolution": 64,
-    },
-    "output": {"directory": "out", "formats": ["csv", "json"]},
 }
 
 
 def default_config() -> dict:
     """A complete, runnable configuration for the symmetric reference design."""
     section = {"width": 0.025, "height": 0.025, "elastic_modulus": 7.0e10, "shear_modulus": 2.6e10}
-    return _merge_defaults(
+    return validate_config(
         {
             "schema_version": SCHEMA_VERSION,
             "geometry": {
@@ -236,24 +227,6 @@ def default_config() -> dict:
     )
 
 
-# sections that exist in every validated config, with defaults filled in;
-# dynamics/stiffness stay absent unless configured (their commands require them)
-_ALWAYS_PRESENT = ("kinematic", "optimize", "output")
-
-
-def _merge_defaults(config: dict) -> dict:
-    """A copy of ``config`` with ``_DEFAULTS`` filled in, sharing nothing with either."""
-    merged = copy.deepcopy(config)
-    defaults = copy.deepcopy(_DEFAULTS)
-    merged.setdefault("seed", defaults.pop("seed"))
-    for key, section in defaults.items():
-        if key in merged:
-            merged[key] = {**section, **merged[key]}
-        elif key in _ALWAYS_PRESENT:
-            merged[key] = section
-    return merged
-
-
 _TYPES = {"object": dict, "array": list, "string": str, "null": type(None), "number": numbers.Number, "integer": int}
 
 
@@ -269,9 +242,10 @@ class _Invalid(Exception):
 
 
 def _check(value, schema: dict, path: tuple = ()):
-    """``value`` checked against ``schema``, rebuilt with integers as ``int``; raises ``_Invalid``
-    at the first fault, a container's own before its members', and for a failed ``oneOf`` the
-    deepest branch fault, the error a draft-07 validator's ``best_match`` picks."""
+    """``value`` checked against ``schema``, rebuilt with integers as ``int`` and each missing
+    property that has a ``default`` filled with a checked copy of it; raises ``_Invalid`` at the
+    first fault, a container's own before its members', and for a failed ``oneOf`` the deepest
+    branch fault, the error a draft-07 validator's ``best_match`` picks."""
     if "type" in schema:
         names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
         if not any(_is(value, name) for name in names):
@@ -300,6 +274,9 @@ def _check(value, schema: dict, path: tuple = ()):
         if extra and schema.get("additionalProperties", True) is False:
             raise _Invalid(path, f"additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)")
         value = {k: _check(v, properties[k], (*path, k)) if k in properties else v for k, v in value.items()}
+        for key, sub in properties.items():
+            if key not in value and "default" in sub:
+                value[key] = _check(copy.deepcopy(sub["default"]), sub, (*path, key))
     if "oneOf" in schema:
         matches, faults = [], []
         for branch in schema["oneOf"]:
@@ -319,11 +296,10 @@ def _check(value, schema: dict, path: tuple = ()):
 def validate_config(config: dict) -> dict:
     """Schema-check a configuration dict and fill defaulted keys."""
     try:
-        checked = _check(config, CONFIG_SCHEMA)
+        return _check(config, CONFIG_SCHEMA)
     except _Invalid as exc:
         path, message = exc.args
         raise ConfigError(f"config invalid at '{'/'.join(map(str, path))}': {message}") from None
-    return _merge_defaults(checked)
 
 
 def load_config(path) -> dict:
@@ -366,12 +342,7 @@ def config_builder(build):
 @config_builder
 def build_geometry(config: dict) -> GeometryParams:
     """Geometry from a validated config."""
-    section = config["geometry"]
-    return GeometryParams(
-        leg_lengths=section["leg_lengths"],
-        joint_limits=section["joint_limits"],
-        assembly_signs=section["assembly_signs"],
-    )
+    return GeometryParams(**config["geometry"])
 
 
 @config_builder
@@ -379,41 +350,23 @@ def build_grid(config: dict, resolution: int | None = None) -> GridSpec:
     """Grid from a validated config; an override resolution rescales the
     node counts so the Cartesian extent is preserved."""
     section = config["grid"]
-    base_resolution = section["resolution"]
-    dims = section["dims"]
-    if resolution is not None and resolution != base_resolution:
-        ratio = resolution / base_resolution
-        dims = [int(round((d - 1) * ratio)) + 1 for d in dims]
-    else:
-        resolution = base_resolution
-    return GridSpec(
-        origin=section["origin"],
-        proportions=section["proportions"],
-        resolution=resolution,
-        dims=dims,
-    )
+    if resolution is None or resolution == section["resolution"]:
+        return GridSpec(**section)
+    ratio = resolution / section["resolution"]
+    dims = [int(round((d - 1) * ratio)) + 1 for d in section["dims"]]
+    return GridSpec(**{**section, "resolution": resolution, "dims": dims})
 
 
 @config_builder
 def build_stiffness(config: dict) -> tuple[OrthoglideStiffnessModel, StiffnessSpec]:
     """Stiffness model and spec from a validated config with a stiffness section."""
     section = require_section(config, "stiffness")
-    geometry = build_geometry(config)
-
-    def cross_section(sub):
-        return CrossSection(
-            width=sub["width"],
-            height=sub["height"],
-            elastic_modulus=sub["elastic_modulus"],
-            shear_modulus=sub["shear_modulus"],
-        )
-
     model = OrthoglideStiffnessModel(
-        geometry=geometry,
+        geometry=build_geometry(config),
         actuator_stiffness=section["actuator_stiffness"],
-        foot_section=cross_section(section["foot_section"]),
+        foot_section=CrossSection(**section["foot_section"]),
         foot_length=section["foot_length"],
-        parallelogram_section=cross_section(section["parallelogram_section"]),
+        parallelogram_section=CrossSection(**section["parallelogram_section"]),
     )
     spec = StiffnessSpec(load=np.asarray(section["load"]), deflection_limit=section["deflection_limit"])
     return model, spec

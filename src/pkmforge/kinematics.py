@@ -416,4 +416,6 @@ def transmission_predicate(
     """
     if cond_max is None and sigma_range is None:
         raise ValueError("need cond_max, sigma_range, or both")
+    if sigma_range is not None and not 0.0 < sigma_range[0] < sigma_range[1]:
+        raise ValueError(f"sigma range must satisfy 0 < lo < hi, got {tuple(sigma_range)}")
     return _TransmissionPredicate(geometry, cond_max, sigma_range)

@@ -29,7 +29,6 @@ from .errors import Infeasible, PkmforgeError
 from .grid import GridSpec, _ValueSemantics, evaluate_mask, largest_cuboid
 from .kinematics import GeometryParams, transmission_predicate
 
-DEFAULT_BUDGET = 2000
 LAMBDA_TOL = 1e-6
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e1, 1e3, 1e5)
@@ -259,7 +258,7 @@ def pattern_search(
 def goal_attain(
     problem: GoalProblem,
     starts: Sequence[np.ndarray],
-    budget: int = DEFAULT_BUDGET,
+    budget: int,
 ) -> AttainmentResult:
     """Minimize the attainment level over the design box, multistarted.
 
@@ -383,7 +382,7 @@ def pareto_sweep(
     problem: GoalProblem,
     weight_vectors: Sequence[np.ndarray],
     starts: Sequence[np.ndarray],
-    budget: int = DEFAULT_BUDGET,
+    budget: int,
     threads: int = 1,
 ) -> ParetoSet:
     """One goal-attainment solve per weight vector, dominance filtered.

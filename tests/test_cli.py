@@ -145,6 +145,9 @@ class TestExitCodes:
             pytest.param("stiffness-map", "grid", {"dims": [3, 3, 3]}, ("--resolution", "1"), id="dims"),
             pytest.param("optimize", "optimize", {"sigma_range": [2.0, 0.5]}, (), id="sigma-range"),
             pytest.param(
+                "cuboid", "kinematic", {"sigma_range": [2.0, 0.5]}, (*CRITERION, "--resolution", "8"), id="kinematic-sigma"
+            ),
+            pytest.param(
                 "pareto", "optimize", {"length_bounds": [3.0, 0.7], "pareto_weights": [[1, 1, 1]]}, (), id="bounds"
             ),
             # json reads NaN, and draft-07 counts it as a number

@@ -22,7 +22,54 @@ WALKER_KEYWORDS = {
     "properties",
     "additionalProperties",
     "oneOf",
+    "default",
 }
+
+# An independent defaults table and merge, the oracle for the walker's
+# filling of the schema's ``default``s.
+_DEFAULTS = {
+    "seed": 20240101,
+    "geometry": {"assembly_signs": [-1, -1, -1]},
+    "kinematic": {"cond_max": 3.0, "sigma_range": None},
+    "dynamics": {"acceleration_mode": "ball"},
+    "optimize": {
+        "preset": "orthoglide",
+        "target": [1.0, 1.0, 0.8],
+        "sigma_range": [0.5, 2.0],
+        "length_bounds": [0.7, 3.0],
+        "span_bounds": [0.4, 3.4],
+        "budget": 900,
+        "starts": 4,
+        "coarse_resolution": 16,
+        "fine_resolution": 64,
+    },
+    "output": {"directory": "out", "formats": ["csv", "json"]},
+}
+
+# sections that exist in every validated config, with defaults filled in;
+# dynamics/stiffness stay absent unless configured (their commands require them)
+_ALWAYS_PRESENT = ("kinematic", "optimize", "output")
+
+
+def _merge_defaults(config: dict) -> dict:
+    """A copy of ``config`` with ``_DEFAULTS`` filled in, sharing nothing with either."""
+    merged = copy.deepcopy(config)
+    defaults = copy.deepcopy(_DEFAULTS)
+    merged.setdefault("seed", defaults.pop("seed"))
+    for key, section in defaults.items():
+        if key in merged:
+            merged[key] = {**section, **merged[key]}
+        elif key in _ALWAYS_PRESENT:
+            merged[key] = section
+    return merged
+
+
+def required_only(**sections):
+    """``default_config()`` cut to its required keys, plus ``sections``."""
+    config = default_config()
+    config = {key: config[key] for key in CONFIG_SCHEMA["required"]}
+    del config["geometry"]["assembly_signs"]
+    return {**config, **sections}
 
 
 def subschemas(schema):
@@ -116,6 +163,31 @@ class TestSchemaKeywords:
     def test_keyword_walk_sees_every_keyword(self):
         used = set().union(*(subschemas(CONFIG_SCHEMA)))
         assert used - {"$schema"} == WALKER_KEYWORDS
+
+
+class TestDefaults:
+    def test_each_default_passes_its_own_subschema(self):
+        defaulted = [schema for schema in subschemas(CONFIG_SCHEMA) if "default" in schema]
+        # the oracle table's 16 keys and the three sections present in every config
+        assert len(defaulted) == 19
+        for schema in defaulted:
+            _check(copy.deepcopy(schema["default"]), schema)
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {},
+            {"dynamics": {key: value for key, value in default_config()["dynamics"].items() if key != "acceleration_mode"}},
+            {"stiffness": default_config()["stiffness"], "kinematic": {"sigma_range": [0.5, 2.0]}, "output": {}},
+        ],
+        ids=["bare", "dynamics", "stiffness"],
+    )
+    def test_required_keys_only_validate_as_before(self, sections):
+        config = required_only(**copy.deepcopy(sections))
+        validated = validate_config(config)
+        assert validated == _merge_defaults(config)
+        assert set(validated) == set(CONFIG_SCHEMA["required"]) | {"seed", "kinematic", "optimize", "output", *sections}
+        assert validated["geometry"]["assembly_signs"] == [-1, -1, -1]
 
 
 class TestDraft7Semantics:
@@ -241,6 +313,6 @@ class TestAgainstJsonschema:
             if faults == 1:
                 assert path == expected, (case, config)
             if path is None:
-                assert _check(config, CONFIG_SCHEMA) == config
+                assert _check(config, CONFIG_SCHEMA) == _merge_defaults(config), (case, config)
         # both decisions are exercised; few multi-fault configs stay valid
         assert decisions[False] >= 100 and decisions[True] >= (100 if faults == 1 else 10), decisions

@@ -273,18 +273,6 @@ class TestLargestCuboid:
         with pytest.raises(DimensionMismatch):
             largest_cuboid(FeasibilityMask(np.ones((3, 3, 3), bool)), make_spec((4, 4, 4)))
 
-    def test_reported_cube_is_true_and_maximal(self, rng):
-        for _ in range(30):
-            dims = rng.integers(3, 9, size=3)
-            mask = FeasibilityMask(rng.random(dims) < 0.7)
-            result = largest_cuboid(mask, make_spec(dims))
-            if not result.found:
-                assert not mask.data.any()
-                continue
-            lo, hi = result.index_min, result.index_max
-            assert mask.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1].all()
-            assert brute_force_cuboid(mask) == result.node_edge
-
     def test_tie_break_lexicographic(self):
         data = np.zeros((3, 3, 3), bool)
         data[2, 2, 2] = True
@@ -294,13 +282,15 @@ class TestLargestCuboid:
         # all candidates have edge 1; anchor must be the C-order first true node
         assert result.index_max == (0, 0, 1)
 
-    @settings(database=None, derandomize=True, deadline=None)
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
     @given(
         st.tuples(*[st.integers(2, 12)] * 3),
         st.floats(0.1, 0.95),
         st.integers(0, 2**32 - 1),
     )
     def test_anchor_is_first_upper_corner_of_oracle_edge(self, dims, density, seed):
+        # the reported cube has the brute-force edge, is all true, and is
+        # anchored at the C-order first upper corner of such a cube
         mask = FeasibilityMask(np.random.default_rng(seed).random(dims) < density)
         edge = brute_force_cuboid(mask)
         result = largest_cuboid(mask, make_spec(dims))
@@ -309,6 +299,9 @@ class TestLargestCuboid:
             assert result.index_max is None
             return
         d = edge - 1
+        lo, hi = result.index_min, result.index_max
+        assert lo == tuple(i - d for i in hi)
+        assert mask.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1].all()
         first = next(
             (i, j, k)
             for i, j, k in itertools.product(*(range(d, n) for n in dims))
@@ -340,14 +333,20 @@ class TestLargestCuboid:
         extents = result.cart_max - result.cart_min
         assert np.array_equal(extents, result.mu * spec.proportions)
 
-    def test_monotone_mask_gives_monotone_edge(self, rng):
-        for _ in range(20):
-            dims = rng.integers(3, 10, size=3)
-            small = rng.random(dims) < 0.4
-            grown = small | (rng.random(dims) < 0.3)
-            edge_small = largest_cuboid(FeasibilityMask(small), make_spec(dims)).node_edge
-            edge_grown = largest_cuboid(FeasibilityMask(grown), make_spec(dims)).node_edge
-            assert edge_small <= edge_grown
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(
+        st.tuples(*[st.integers(2, 12)] * 3),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_monotone_mask_gives_monotone_edge(self, dims, density, added, seed):
+        rng = np.random.default_rng(seed)
+        small = rng.random(dims) < density
+        grown = small | (rng.random(dims) < added)
+        edge_small = largest_cuboid(FeasibilityMask(small), make_spec(dims)).node_edge
+        edge_grown = largest_cuboid(FeasibilityMask(grown), make_spec(dims)).node_edge
+        assert edge_small <= edge_grown
 
 
 class TestBruteForce:
@@ -360,14 +359,6 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_force_cuboid(FeasibilityMask(np.ones((17, 4, 4), bool)))
-
-    def test_matches_dp_on_fuzz(self, rng):
-        for _ in range(200):
-            dims = rng.integers(2, 13, size=3)
-            density = rng.uniform(0.1, 0.9)
-            mask = FeasibilityMask(rng.random(dims) < density)
-            dp = largest_cuboid(mask, make_spec(dims)).node_edge
-            assert dp == brute_force_cuboid(mask)
 
 
 class TestNestedCuboids:

@@ -14,6 +14,7 @@ from pkmforge.kinematics import (
     kinematic_sample,
     leg_residuals,
     rate_matrix,
+    transmission_predicate,
 )
 
 
@@ -220,3 +221,10 @@ class TestGeometryValidation:
     def test_rejects_bad_signs(self):
         with pytest.raises(ValueError):
             GeometryParams([1, 1, 1], [[-1, 1]] * 3, assembly_signs=[0, 1, 1])
+
+
+class TestTransmissionPredicate:
+    @pytest.mark.parametrize("sigma_range", [(2.0, 0.5), (1.0, 1.0), (0.0, 2.0), (float("nan"), 2.0)])
+    def test_rejects_a_sigma_range_unless_0_lt_lo_lt_hi(self, symmetric_geometry, sigma_range):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
+            transmission_predicate(symmetric_geometry, sigma_range=sigma_range)

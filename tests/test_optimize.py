@@ -120,7 +120,7 @@ class TestGoalAttain:
     def test_start_outside_bounds_rejected(self):
         problem, _ = analytic_preset("symmetric_quadratics")
         with pytest.raises(ValueError):
-            goal_attain(problem, [np.array([5.0])])
+            goal_attain(problem, [np.array([5.0])], budget=100)
 
     def test_seed_change_keeps_optimum(self):
         problem, _ = analytic_preset("symmetric_quadratics")
