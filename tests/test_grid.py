@@ -273,6 +273,18 @@ class TestLargestCuboid:
         with pytest.raises(DimensionMismatch):
             largest_cuboid(FeasibilityMask(np.ones((3, 3, 3), bool)), make_spec((4, 4, 4)))
 
+    def test_reported_cube_is_true_and_maximal(self, rng):
+        for _ in range(30):
+            dims = rng.integers(3, 9, size=3)
+            mask = FeasibilityMask(rng.random(dims) < 0.7)
+            result = largest_cuboid(mask, make_spec(dims))
+            if not result.found:
+                assert not mask.data.any()
+                continue
+            lo, hi = result.index_min, result.index_max
+            assert mask.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1].all()
+            assert brute_force_cuboid(mask) == result.node_edge
+
     def test_tie_break_lexicographic(self):
         data = np.zeros((3, 3, 3), bool)
         data[2, 2, 2] = True
@@ -359,6 +371,14 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_force_cuboid(FeasibilityMask(np.ones((17, 4, 4), bool)))
+
+    def test_matches_dp_on_fuzz(self, rng):
+        for _ in range(200):
+            dims = rng.integers(2, 13, size=3)
+            density = rng.uniform(0.1, 0.9)
+            mask = FeasibilityMask(rng.random(dims) < density)
+            dp = largest_cuboid(mask, make_spec(dims)).node_edge
+            assert dp == brute_force_cuboid(mask)
 
 
 class TestNestedCuboids:
