@@ -54,79 +54,53 @@ EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload: dict) -> str:
+    """Write ``payload`` as indented JSON with sorted keys; numpy values
+    become their Python equivalents.  Returns the text without its newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
+    path.write_text(text + "\n")
+    return text
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Write the header, then one line per row of numbers, each cell through ``_format``."""
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format(float(v)) for v in row) + "\n")
-
-
-def _wants(config: dict, fmt: str) -> bool:
-    """Format toggle for the bulk data exports (primary results always write)."""
-    return fmt in config["output"]["formats"]
+    """Write the header, then one line per row of numbers, each cell in ``%.17g``."""
+    table = np.asarray(rows, float).reshape(len(rows), len(header))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 @config_builder
 def _criterion(config: dict, name: str):
-    """Value field and feasibility predicate for a named criterion."""
+    """Feasibility predicate of a named criterion; its value field is ``predicate.field``."""
     geometry = build_geometry(config)
     if name == "kinematic":
         section = config["kinematic"]
         sigma_range = section["sigma_range"]
-        predicate = transmission_predicate(
+        return transmission_predicate(
             geometry,
             cond_max=section["cond_max"],
             sigma_range=tuple(sigma_range) if sigma_range else None,
         )
-    elif name == "stiffness":
+    if name == "stiffness":
         model, spec = build_stiffness(config)
-        predicate = stiffness_predicate(model, spec)
-    elif name == "gie":
+        return stiffness_predicate(model, spec)
+    if name == "gie":
         model, spec = build_dynamics(config)
-        predicate = gie_predicate(geometry, model, spec)
-    elif name == "acceleration":
+        return gie_predicate(geometry, model, spec)
+    if name == "acceleration":
         model, spec = build_dynamics(config)
-        predicate = acceleration_predicate(geometry, model, spec)
-    else:
-        raise ConfigError(f"unknown criterion {name!r}; choose from {CRITERIA}")
-    return predicate.field, predicate
-
-
-def _evaluate_criterion(config: dict, name: str, resolution: int | None):
-    """Grid, value field and feasibility mask of a criterion; sweeps the mask only."""
-    spec = build_grid(config, resolution)
-    field, predicate = _criterion(config, name)
-    return spec, field, evaluate_mask(spec, predicate)
+        return acceleration_predicate(geometry, model, spec)
+    raise ConfigError(f"unknown criterion {name!r}; choose from {CRITERIA}")
 
 
 def cmd_grid_eval(config: dict, args) -> int:
     out = _out_dir(config, args)
-    spec, field, mask = _evaluate_criterion(config, args.criterion, args.resolution)
-    if _wants(config, "csv"):
+    spec = build_grid(config, args.resolution)
+    predicate = _criterion(config, args.criterion)
+    mask = evaluate_mask(spec, predicate)
+    if "csv" in config["output"]["formats"]:
         positions = spec.node_positions()
-        table = np.column_stack([positions, field.batch(positions), mask.data.ravel()])
-        _write_csv(out / f"{args.criterion}_map.csv", ("x", "y", "z", "value", "feasible"), table.tolist())
+        table = np.column_stack([positions, predicate.field.batch(positions), mask.data.ravel()])
+        _write_csv(out / f"{args.criterion}_map.csv", ("x", "y", "z", "value", "feasible"), table)
     save_mask(out / f"{args.criterion}_mask.npz", mask)
     print(f"{args.criterion}: {mask.count()} of {mask.data.size} nodes feasible")
     return EXIT_OK
@@ -134,11 +108,10 @@ def cmd_grid_eval(config: dict, args) -> int:
 
 def cmd_cuboid(config: dict, args) -> int:
     out = _out_dir(config, args)
-    spec, _, mask = _evaluate_criterion(config, args.criterion, args.resolution)
-    result = largest_cuboid(mask, spec)
+    spec = build_grid(config, args.resolution)
+    result = largest_cuboid(evaluate_mask(spec, _criterion(config, args.criterion)), spec)
     payload = {"criterion": args.criterion, "resolution": spec.resolution, **result.to_dict()}
-    _write_json(out / f"{args.criterion}_cuboid.json", payload)
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(_write_json(out / f"{args.criterion}_cuboid.json", payload))
     return EXIT_OK
 
 
@@ -150,7 +123,7 @@ def cmd_stiffness_map(config: dict, args) -> int:
     _, deflections = translational_deflection(valid, stiffness, stiffness_spec.load)
     table = np.column_stack([positions, min_translational_stiffness(valid, stiffness), deflections])
     path = out / "stiffness_k_map.csv"
-    _write_csv(path, ("x", "y", "z", "k_trans_min", "deflection_norm"), table.tolist())
+    _write_csv(path, ("x", "y", "z", "k_trans_min", "deflection_norm"), table)
     print(f"stiffness map written to {path}")
     return EXIT_OK
 
@@ -179,8 +152,8 @@ def _starts(config: dict, seed: int | None, problem):
     return seed, latin_hypercube(problem.bounds, config["optimize"]["starts"], rng)
 
 
-def _run_optimize(config: dict, args):
-    """Solve the configured design problem; returns the result payload."""
+def cmd_optimize(config: dict, args) -> int:
+    out = _out_dir(config, args)
     section = config["optimize"]
     preset = section["preset"]
     problem, _ = _design_problem(config, args.resolution)
@@ -219,15 +192,9 @@ def _run_optimize(config: dict, args):
         "seed": seed,
         **extras,
     }
-    return result, payload
-
-
-def cmd_optimize(config: dict, args) -> int:
-    out = _out_dir(config, args)
-    result, payload = _run_optimize(config, args)
     _write_json(out / "attainment.json", payload)
     print(
-        f"lambda* = {result.lambda_star:.6g} ({payload['attainment']}), "
+        f"lambda* = {result.lambda_star:.6g} ({attainment}), "
         f"design = {np.array2string(result.pi_star, precision=6)}, "
         f"status = {result.status}, evaluations = {result.evaluations}"
     )
@@ -249,7 +216,7 @@ def cmd_pareto(config: dict, args) -> int:
         problem, [np.asarray(w) for w in weights], starts, budget=section["budget"], threads=args.threads
     )
 
-    if _wants(config, "csv"):
+    if "csv" in config["output"]["formats"]:
         n_obj = len(problem.objectives)
         header = (
             [f"w_{i}" for i in range(n_obj)]
@@ -288,12 +255,12 @@ def cmd_report(config: dict, args) -> int:
         criteria.append("stiffness")
     if "dynamics" in config:
         criteria.extend(["gie", "acceleration"])
+    spec = build_grid(config, args.resolution)
     results = {}
     timing = {}
     for name in criteria:
         t0 = time.perf_counter()
-        spec, _, mask = _evaluate_criterion(config, name, args.resolution)
-        results[name] = largest_cuboid(mask, spec).to_dict()
+        results[name] = largest_cuboid(evaluate_mask(spec, _criterion(config, name)), spec).to_dict()
         timing[name] = time.perf_counter() - t0
     timing["total"] = time.perf_counter() - started
     payload = {
@@ -313,11 +280,16 @@ def _out_dir(config: dict, args) -> Path:
     return path
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def int_at_least(low: int):
+    """An argparse type that reads an integer no less than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,34 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pkmforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, criterion=False):
+    def command(name, handler, summary, criterion=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", help="output directory (default: config output.directory)")
-        p.add_argument("--resolution", type=positive_int, help="override the grid resolution N0 (>= 1)")
+        p.add_argument("--resolution", type=int_at_least(1), help="override the grid resolution N0 (>= 1)")
         if criterion:
             p.add_argument("--criterion", required=True, choices=CRITERIA)
         return p
 
-    common(sub.add_parser("grid-eval", help="write the per-node metric map and mask"), criterion=True)
-    common(sub.add_parser("cuboid", help="largest inscribed cuboid for a criterion"), criterion=True)
-    common(sub.add_parser("stiffness-map", help="write the stiffness/deflection map"))
-    optimize = common(sub.add_parser("optimize", help="run the configured design optimization"))
-    pareto = common(sub.add_parser("pareto", help="sweep goal-attainment weights into a Pareto set"))
-    common(sub.add_parser("report", help="run every configured criterion and write a report"))
+    command("grid-eval", cmd_grid_eval, "write the per-node metric map and mask", criterion=True)
+    command("cuboid", cmd_cuboid, "largest inscribed cuboid for a criterion", criterion=True)
+    command("stiffness-map", cmd_stiffness_map, "write the stiffness/deflection map")
+    optimize = command("optimize", cmd_optimize, "run the configured design optimization")
+    pareto = command("pareto", cmd_pareto, "sweep goal-attainment weights into a Pareto set")
+    command("report", cmd_report, "run every configured criterion and write a report")
     for p in (optimize, pareto):
-        p.add_argument("--seed", type=int, help="override the config seed")
-    pareto.add_argument("--threads", type=positive_int, default=1, help="worker threads for the weight sweep")
+        p.add_argument("--seed", type=int_at_least(0), help="override the config seed (>= 0)")
+    pareto.add_argument("--threads", type=int_at_least(1), default=1, help="worker threads for the weight sweep")
     return parser
-
-
-_COMMANDS = {
-    "grid-eval": cmd_grid_eval,
-    "cuboid": cmd_cuboid,
-    "stiffness-map": cmd_stiffness_map,
-    "optimize": cmd_optimize,
-    "pareto": cmd_pareto,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -377,7 +341,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](config, args)
+        return args.handler(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -303,9 +303,13 @@ def validate_config(config: dict) -> dict:
 
 
 def load_config(path) -> dict:
+    def refuse(constant: str):
+        # json reads NaN and Infinity, although JSON has no such values (RFC 8259 §6)
+        raise ConfigError(f"config is not valid JSON: {constant} is not a JSON number")
+
     try:
         with open(path) as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=refuse)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

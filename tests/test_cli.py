@@ -1,5 +1,8 @@
+import functools
 import json
 import logging
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -150,13 +153,6 @@ class TestExitCodes:
             pytest.param(
                 "pareto", "optimize", {"length_bounds": [3.0, 0.7], "pareto_weights": [[1, 1, 1]]}, (), id="bounds"
             ),
-            # json reads NaN, and draft-07 counts it as a number
-            pytest.param(
-                "report", "grid", {"origin": [float("nan"), -0.75, -0.75]}, ("--resolution", "8"), id="nan-origin"
-            ),
-            pytest.param(
-                "report", "grid", {"proportions": [1.0, float("nan"), 1.0]}, ("--resolution", "8"), id="nan-proportions"
-            ),
         ],
     )
     def test_rejected_config_value_is_config_error(self, tmp_path, capsys, command, section, values, extra):
@@ -166,6 +162,42 @@ class TestExitCodes:
         code, _ = cli(tmp_path, config, command, *extra)
         assert code == 2
         assert "config value rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("grid", "origin", 0), math.nan, id="nan-origin"),
+            pytest.param(("grid", "proportions", 1), math.nan, id="nan-proportions"),
+            pytest.param(("geometry", "joint_limits", 0, 1), math.nan, id="nan-joint-limits"),
+            pytest.param(("dynamics", "torque_limits", 2), math.nan, id="nan-torque-limits"),
+            pytest.param(("dynamics", "min_acceleration"), math.nan, id="nan-min-acceleration"),
+            pytest.param(("dynamics", "joint_masses", 0), math.nan, id="nan-joint-masses"),
+            pytest.param(("stiffness", "load", 1), math.nan, id="nan-load"),
+            pytest.param(("stiffness", "parallelogram_section", "width"), math.nan, id="nan-section-width"),
+            pytest.param(("kinematic", "cond_max"), math.nan, id="nan-cond-max"),
+            pytest.param(("dynamics", "tcp_mass"), math.inf, id="inf-tcp-mass"),
+            pytest.param(("stiffness", "load", 5), -math.inf, id="minus-inf-load"),
+        ],
+    )
+    def test_non_json_constant_is_config_error(self, tmp_path, capsys, path, value):
+        # json.dumps writes these as NaN, Infinity and -Infinity, which json.load
+        # reads although JSON has no such values; draft-07 would count them as numbers
+        config = default_config()
+        *keys, last = path
+        functools.reduce(operator.getitem, keys, config)[last] = value
+        code, _ = cli(tmp_path, config, "report", "--resolution", "8")
+        assert code == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["optimize", "pareto"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        config = small_config()
+        config["optimize"]["preset"] = "biobjective_front"
+        with pytest.raises(SystemExit) as exit_info:
+            cli(tmp_path, config, command, "--seed", "-1")
+        assert exit_info.value.code == 2
+        assert "must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert cli(tmp_path, config, command, "--seed", "0")[0] == 0
 
     @pytest.mark.parametrize("command", ["cuboid", "report"])
     def test_planted_value_error_propagates(self, tmp_path, monkeypatch, command):
@@ -326,6 +358,84 @@ class TestCuboid:
         mu_a = json.loads((out_a / "kinematic_cuboid.json").read_text())["mu"]
         mu_b = json.loads((out_b / "kinematic_cuboid.json").read_text())["mu"]
         assert abs(mu_a - mu_b) <= 1.0 / 8 + 1e-12
+
+
+# The writers as they were before np.savetxt and json's ``default`` replaced
+# them, kept verbatim as the byte oracles of TestWriters.
+def _format(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write the header, then one line per row of numbers, each cell through ``_format``."""
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_format(float(v)) for v in row) + "\n")
+
+
+class TestWriters:
+    def test_csv_matches_loop_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        special = [
+            math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+            0.1 + 0.2, 1 / 3, -2 / 3, np.nextafter(1.0, 2.0), 1.7976931348623157e308, 2.0**53 + 2, 1e16, 123456789.0,
+        ]
+        values = np.concatenate([special, rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)])
+        flags = rng.random(values.size) < 0.5
+        table = np.column_stack([values, values[::-1], -values, flags])
+        header = ("x", "y", "value", "feasible")
+        _write_csv(tmp_path / "loop.csv", header, table.tolist())
+        cli_module._write_csv(tmp_path / "table.csv", header, table)
+        cli_module._write_csv(tmp_path / "rows.csv", header, [[*row] for row in table])
+        expected = (tmp_path / "loop.csv").read_bytes()
+        assert all(f"\n{cell},".encode() in expected for cell in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324"))
+        assert (tmp_path / "table.csv").read_bytes() == expected
+        assert (tmp_path / "rows.csv").read_bytes() == expected
+
+    def test_empty_table_writes_the_header_only(self, tmp_path):
+        header = ["w_0", "w_1", "pi_0", "f_0", "f_1", "lambda"]
+        _write_csv(tmp_path / "loop.csv", header, [])
+        cli_module._write_csv(tmp_path / "new.csv", header, [])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes() == b"w_0,w_1,pi_0,f_0,f_1,lambda\n"
+
+    def test_json_matches_recursive_converter(self, tmp_path):
+        payload = {
+            "f64": np.float64(0.1),
+            "f32": np.float32(0.1),
+            "i64": np.int64(-3),
+            "vector": np.array([math.nan, math.inf, -math.inf, -0.0, 1 / 3]),
+            "matrix": np.arange(6.0).reshape(2, 3) / 7,
+            "ints": np.arange(3),
+            "nested": [(1.0, np.float64(math.nan)), [np.array([math.inf]), (-math.inf, np.float32(2.5))]],
+            "inner": {"b": [np.int64(7), None], "a": (True, "text")},
+        }
+        _write_json(tmp_path / "old.json", payload)
+        text = cli_module._write_json(tmp_path / "new.json", payload)
+        expected = (tmp_path / "old.json").read_bytes()
+        assert (tmp_path / "new.json").read_bytes() == expected
+        assert (text + "\n").encode() == expected
+
+    def test_cuboid_prints_its_json_file(self, tmp_path, capsys):
+        code, out = cli(tmp_path, small_config(), "cuboid", "--criterion", "kinematic")
+        assert code == 0
+        assert capsys.readouterr().out.encode() == (out / "kinematic_cuboid.json").read_bytes()
 
 
 class TestStiffnessMap:
