@@ -212,9 +212,7 @@ def cmd_pareto(config: dict, args) -> int:
     if weights is None:
         raise ConfigError(f"optimize.pareto_weights is required: preset {preset!r} has no default weights")
     seed, starts = _starts(config, args.seed, problem)
-    front = pareto_sweep(
-        problem, [np.asarray(w) for w in weights], starts, budget=section["budget"], threads=args.threads
-    )
+    front = pareto_sweep(problem, [np.asarray(w) for w in weights], starts, budget=section["budget"])
 
     if "csv" in config["output"]["formats"]:
         n_obj = len(problem.objectives)
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("report", cmd_report, "run every configured criterion and write a report")
     for p in (optimize, pareto):
         p.add_argument("--seed", type=int_at_least(0), help="override the config seed (>= 0)")
-    pareto.add_argument("--threads", type=int_at_least(1), default=1, help="worker threads for the weight sweep")
     return parser
 
 

@@ -18,9 +18,8 @@ import numpy as np
 
 from ._spectral import sym_eigvals_3x3
 from .errors import SingularJacobian
-from .grid import ScalarField, ThresholdPredicate, _ValueSemantics
+from .grid import ScalarField, ThresholdPredicate, _ValueSemantics, sweep_blocks
 from .kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, jacobian
-from .stiffness import _sweep_blocks
 
 _SIGMA_FLOOR = 1e-10
 
@@ -196,7 +195,7 @@ def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarF
 
     The rate matrices come from one ``batch_rate_matrices`` call; the
     inertias and felt inertias of the kept rows run per block on every CPU
-    (``stiffness._sweep_blocks``), and their eigenvalues once, gathered."""
+    (``grid.sweep_blocks``), and their eigenvalues once, gathered."""
 
     def scalar(position):
         rho = inverse_kinematics(position, geometry)
@@ -213,7 +212,7 @@ def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarF
         def block(kept):
             felt[kept] = _felt_inertia(*_joint_inertias(m[kept], model))
 
-        _sweep_blocks(rows.size, block)
+        sweep_blocks(rows.size, block)
         return _scatter(positions.shape[0], rows, sym_eigvals_3x3(felt)[:, 2])
 
     return ScalarField(scalar, batch)
@@ -228,7 +227,7 @@ def acceleration_field(
     """Field of the achievable acceleration magnitude per node.
 
     The rate matrices come from one ``batch_rate_matrices`` call; the rest
-    runs per block of kept rows on every CPU (``stiffness._sweep_blocks``)."""
+    runs per block of kept rows on every CPU (``grid.sweep_blocks``)."""
     if mode not in ("ball", "max"):
         raise ValueError(f"mode must be 'ball' or 'max', got {mode!r}")
     limits = np.asarray(torque_limits, dtype=float)
@@ -246,7 +245,7 @@ def acceleration_field(
         def block(kept):
             values[kept] = _acceleration(*_joint_inertias(m[kept], model), limits, mode)
 
-        _sweep_blocks(rows.size, block)
+        sweep_blocks(rows.size, block)
         return _scatter(positions.shape[0], rows, values)
 
     return ScalarField(scalar, batch)

@@ -20,6 +20,7 @@ search.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -29,6 +30,9 @@ import numpy as np
 from .errors import DimensionMismatch, PkmforgeError, TooLarge
 
 BRUTE_FORCE_DIM_GUARD = 16
+
+# rows per block of the threaded sweeps
+SWEEP_BLOCK_ROWS = 2048
 
 
 class _ValueSemantics:
@@ -184,14 +188,15 @@ class ScalarField:
     Calling the field returns NaN where the scalar callable raises a
     PkmforgeError or LinAlgError (unreachable or failed nodes).  The batch
     callable must accept an (N, 3) position array and return (N,) values
-    with NaN at infeasible rows.  Batch results are cached by array identity
-    so threshold families re-use one sweep.
+    with NaN at infeasible rows.  The field keeps its latest batch result
+    with the position array it was swept on, matched by identity, so a
+    threshold family over ``GridSpec.node_positions()`` re-uses one sweep.
     """
 
     def __init__(self, scalar: Callable[[np.ndarray], float], batch: Callable[[np.ndarray], np.ndarray]):
         self._scalar = scalar
         self._batch = batch
-        self._cache: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._latest: Optional[tuple[np.ndarray, np.ndarray]] = None  # (positions, values)
 
     def __call__(self, position) -> float:
         try:
@@ -200,14 +205,10 @@ class ScalarField:
             return float("nan")
 
     def batch(self, positions: np.ndarray) -> np.ndarray:
-        for key, ref, values in self._cache:
-            if key == id(positions) and ref is positions:
-                return values
-        values = np.asarray(self._batch(positions), dtype=float)
-        self._cache.append((id(positions), positions, values))
-        if len(self._cache) > 4:
-            self._cache.pop(0)
-        return values
+        latest = self._latest
+        if latest is None or latest[0] is not positions:
+            latest = self._latest = (positions, np.asarray(self._batch(positions), dtype=float))
+        return latest[1]
 
 
 class ThresholdPredicate:
@@ -228,6 +229,41 @@ class ThresholdPredicate:
             if self.feasible_when == "below":
                 return values <= self.bound
             return values >= self.bound
+
+
+def parallel_map(work: Callable, items: Sequence) -> list:
+    """``[work(item) for item in items]``, on a thread pool with one worker
+    per CPU the process may run on; inline when there is one item or one CPU.
+
+    The package's one parallel loop: the stiffness sweep, the deflection
+    solve, the dynamics fields' per-row algebra (through ``sweep_blocks``)
+    and ``pareto_sweep``'s solves run on it.  Results come back in input
+    order whatever the CPU count, and the first exception raised by an item,
+    in input order, propagates.  ``bench/tracing.py``'s span stack is
+    single-threaded, so a name it wraps may run in a worker only off the
+    bench's paths: the sweeps keep such names (``sym_eigvals_3x3``) in the
+    calling thread, and no bench workload runs ``pareto_sweep``.  numpy
+    releases the GIL in its heavy kernels.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(items))
+    if workers <= 1:
+        return [work(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, items))
+
+
+def sweep_blocks(n: int, work: Callable[[slice], None]) -> None:
+    """Calls ``work(rows)`` on ``parallel_map`` with a slice per block of
+    ``SWEEP_BLOCK_ROWS`` of ``n`` rows; ``work`` writes its rows' results in
+    place, so no row's result depends on the blocking or the CPU count."""
+    blocks = [slice(start, min(start + SWEEP_BLOCK_ROWS, n)) for start in range(0, n, SWEEP_BLOCK_ROWS)]
+    parallel_map(work, blocks)
 
 
 def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:

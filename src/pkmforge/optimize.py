@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import Infeasible, PkmforgeError
-from .grid import GridSpec, _ValueSemantics, evaluate_mask, largest_cuboid
+from .grid import GridSpec, _ValueSemantics, evaluate_mask, largest_cuboid, parallel_map
 from .kinematics import GeometryParams, transmission_predicate
 
 LAMBDA_TOL = 1e-6
@@ -383,52 +383,38 @@ def pareto_sweep(
     weight_vectors: Sequence[np.ndarray],
     starts: Sequence[np.ndarray],
     budget: int,
-    threads: int = 1,
 ) -> ParetoSet:
     """One goal-attainment solve per weight vector, dominance filtered.
 
-    A weight vector that ``problem.with_weights`` rejects (ValueError), or
-    whose solve raises a PkmforgeError or LinAlgError, is recorded as a
-    failure and the sweep continues; any other exception propagates.  With
-    ``threads > 1`` the independent solves run concurrently; results are
-    collected in input order so output is deterministic.
+    The solves are independent and run on ``grid.parallel_map``, one worker
+    per CPU, and come back in input order, so the set does not depend on the
+    CPU count.  A weight vector that ``problem.with_weights`` rejects
+    (ValueError), or whose solve raises a PkmforgeError or LinAlgError, is
+    recorded as a failure and the sweep continues; any other exception
+    propagates.
     """
+    weight_vectors = [np.asarray(w, dtype=float) for w in weight_vectors]
 
-    raw: list[Optional[ParetoPoint]] = [None] * len(weight_vectors)
-    failures: list[tuple[np.ndarray, str]] = []
-
-    def run_one(index, weights):
-        weights = np.asarray(weights, dtype=float)
+    def solve(weights):
+        """The solved point, or the failure's message."""
         try:
             weighted = problem.with_weights(weights)
         except ValueError as exc:
-            return index, None, f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
         try:
             result = goal_attain(weighted, starts, budget=budget)
         except (PkmforgeError, np.linalg.LinAlgError) as exc:
-            return index, None, f"{type(exc).__name__}: {exc}"
-        return index, ParetoPoint(
+            return f"{type(exc).__name__}: {exc}"
+        return ParetoPoint(
             design=result.pi_star,
             objectives=result.objective_values,
             weights=weights,
             attainment=result.lambda_star,
-        ), None
+        )
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda iw: run_one(*iw), enumerate(weight_vectors)))
-    else:
-        outcomes = [run_one(i, w) for i, w in enumerate(weight_vectors)]
-
-    for index, point, error in outcomes:
-        if point is not None:
-            raw[index] = point
-        else:
-            failures.append((np.asarray(weight_vectors[index], dtype=float), error))
-
-    points = [p for p in raw if p is not None]
+    outcomes = parallel_map(solve, weight_vectors)
+    points = [outcome for outcome in outcomes if isinstance(outcome, ParetoPoint)]
+    failures = [(w, outcome) for w, outcome in zip(weight_vectors, outcomes) if isinstance(outcome, str)]
     return ParetoSet(points=pareto_filter(points), failures=failures)
 
 

@@ -20,14 +20,13 @@ springs instead of externally identified parameters.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, Infeasible, SingularStiffness, SingularSystem
-from .grid import ScalarField, ThresholdPredicate, _ValueSemantics
+from .grid import ScalarField, ThresholdPredicate, _ValueSemantics, sweep_blocks
 from .kinematics import (
     GeometryParams,
     batch_inverse_kinematics,
@@ -35,9 +34,6 @@ from .kinematics import (
 )
 
 CONDITION_LIMIT = 1e12
-
-# rows per block of the threaded stiffness sweep
-SWEEP_BLOCK_ROWS = 2048
 
 # wrench/twist component ordering used everywhere: (x, y, z, rx, ry, rz)
 WRENCH_SIZE = 6
@@ -141,35 +137,6 @@ class StiffnessSpec(_ValueSemantics):
         if not self.deflection_limit > 0.0:
             raise ValueError("deflection_limit must be positive")
         object.__setattr__(self, "load", f)
-
-
-def _sweep_blocks(n: int, work) -> None:
-    """Calls ``work(rows)`` with a slice per block of ``SWEEP_BLOCK_ROWS`` of
-    ``n`` rows, on a thread pool with a worker per CPU the process may run
-    on; inline when there is one block or one CPU.
-
-    The stiffness sweep, the deflection solve and the dynamics fields'
-    per-row algebra run on it.  ``work`` writes its rows' results in place
-    and calls only numpy and private helpers, none of the names
-    ``bench/tracing.py`` wraps (its span stack is single-threaded), so a
-    traced name such as ``sym_eigvals_3x3`` runs in the calling thread on the
-    gathered results; numpy releases the GIL in its heavy kernels.  The
-    first exception raised by a block propagates.
-    """
-    blocks = [slice(start, min(start + SWEEP_BLOCK_ROWS, n)) for start in range(0, n, SWEEP_BLOCK_ROWS)]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(blocks))
-    if workers <= 1:
-        for rows in blocks:
-            work(rows)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, blocks))
 
 
 def _compliance(j_virtual: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
@@ -403,7 +370,7 @@ class OrthoglideStiffnessModel(_ValueSemantics):
         reach, or where assembly or inversion failed, are flagged invalid
         and their K is exactly zero.  IK runs once over all rows; the
         per-leg assembly and inverse run only on the reachable rows, packed
-        together, per block of them on every CPU (see ``_sweep_blocks``),
+        together, per block of them on every CPU (see ``grid.sweep_blocks``),
         and are scattered back.  No row's result depends on the blocking.
         """
         pts = np.asarray(positions, dtype=float)
@@ -417,7 +384,7 @@ class OrthoglideStiffnessModel(_ValueSemantics):
             at = rows[kept]
             self._block_stiffness(pts[at], rho[at], k_invs, ok[kept], packed[kept])
 
-        _sweep_blocks(rows.size, block)
+        sweep_blocks(rows.size, block)
         packed[~ok] = 0.0
         valid = np.zeros(pts.shape[0], dtype=bool)
         valid[rows] = ok
@@ -555,7 +522,7 @@ def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
             values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
             solved[solvable] = True
 
-    _sweep_blocks(stiffness.shape[0], block)
+    sweep_blocks(stiffness.shape[0], block)
     return solved, values
 
 

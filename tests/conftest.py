@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pkmforge import grid
 from pkmforge.errors import Infeasible
 from pkmforge.kinematics import GeometryParams, inverse_kinematics
 
@@ -57,3 +58,8 @@ def signed_zero_values(rng, shape, zero_fraction):
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
     return np.where(rng.random(shape) < zero_fraction, zeros, values)
+
+
+def on_cpus(monkeypatch, count):
+    """Make ``grid.parallel_map`` see ``count`` CPUs in the process's affinity."""
+    monkeypatch.setattr(grid.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pkmforge
+from conftest import on_cpus
 from pkmforge import cli as cli_module
 from pkmforge import kinematics
 from pkmforge.cli import main
@@ -95,7 +96,13 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("report", "--seed"), ("grid-eval", "--seed"), ("optimize", "--threads"), ("stiffness-map", "--threads")],
+        [
+            ("report", "--seed"),
+            ("grid-eval", "--seed"),
+            ("optimize", "--threads"),
+            ("stiffness-map", "--threads"),
+            ("pareto", "--threads"),
+        ],
     )
     def test_flag_rejected_where_unused(self, tmp_path, command, flag):
         extra = ("--criterion", "kinematic") if command == "grid-eval" else ()
@@ -121,11 +128,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, flag",
         [
-            *(
-                pytest.param(command, "--resolution", id=command)
-                for command in ("grid-eval", "cuboid", "stiffness-map", "optimize", "pareto", "report")
-            ),
-            pytest.param("pareto", "--threads", id="pareto---threads"),
+            pytest.param(command, "--resolution", id=command)
+            for command in ("grid-eval", "cuboid", "stiffness-map", "optimize", "pareto", "report")
         ],
     )
     def test_non_positive_resolution_rejected(self, tmp_path, command, flag, value):
@@ -587,12 +591,19 @@ class TestPareto:
         header = (out / "pareto.csv").read_text().splitlines()[0]
         assert header == "w_0,w_1,pi_0,f_0,f_1,lambda"
 
-    def test_threaded_run_matches_serial(self, tmp_path):
-        config = small_config()
-        config["optimize"]["preset"] = "biobjective_front"
-        _, out_a = cli(tmp_path, config, "pareto", out_name="a")
-        _, out_b = cli(tmp_path, config, "pareto", "--threads", "4", out_name="b")
-        assert (out_a / "pareto.csv").read_bytes() == (out_b / "pareto.csv").read_bytes()
+    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
+        biobjective = small_config()
+        biobjective["optimize"]["preset"] = "biobjective_front"
+        orthoglide = orthoglide_config(pareto_weights=[[1.0, 1.0, 0.8], [0.8, 1.0, 1.0]])
+        for name, config in (("biobjective", biobjective), ("orthoglide", orthoglide)):
+            outs = []
+            for cpus in (2, 1):
+                on_cpus(monkeypatch, cpus)
+                code, out = cli(tmp_path, config, "pareto", out_name=f"{name}-{cpus}")
+                assert code == 0
+                outs.append(out)
+            for file in ("pareto.csv", "pareto.json"):
+                assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), (name, file)
 
 
 class TestReport:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reachable, sample_reachable_points, signed_zero_values
-from pkmforge import dynamics, stiffness
+from conftest import on_cpus, reachable, sample_reachable_points, signed_zero_values
+from pkmforge import dynamics, grid
 from pkmforge._spectral import sym_eigvals_3x3
 from pkmforge.dynamics import (
     DynamicSpec,
@@ -269,10 +269,13 @@ class TestOrderedFeltInertia:
         rows, m, inertia = batch_dynamics(points, symmetric_geometry, MODEL)
         assert 0 < rows.size < points.shape[0]
         self.assert_same_bits(m, inertia)
-        field = inertia_norm_field(symmetric_geometry, MODEL)
-        values = field.batch(points)
+        values = inertia_norm_field(symmetric_geometry, MODEL).batch(points)
         monkeypatch.setattr(dynamics, "_felt_inertia", self.einsum)
-        assert values.tobytes() == field.batch(points).tobytes()
+        # a field built after the patch, since a field returns its latest
+        # sweep of the same array without running it again
+        reference = inertia_norm_field(symmetric_geometry, MODEL).batch(points)
+        assert np.isfinite(values).any()
+        assert values.tobytes() == reference.tobytes()
 
 
 class TestBlockedFields:
@@ -310,10 +313,6 @@ class TestBlockedFields:
         points = np.concatenate([candidates[rows[:kept]], far])
         return points[rng.permutation(points.shape[0])]
 
-    @staticmethod
-    def on_cpus(monkeypatch, count):
-        monkeypatch.setattr(stiffness.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
     def assert_matches_oracles(self, points):
         oracles = self.oracles(points)
         for name, field in self.fields().items():
@@ -324,8 +323,8 @@ class TestBlockedFields:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_three_blocks_and_a_ragged_tail_bitwise(self, cpus, monkeypatch):
-        self.on_cpus(monkeypatch, cpus)
-        points = self.points(np.random.default_rng(17), 3 * stiffness.SWEEP_BLOCK_ROWS + 77)
+        on_cpus(monkeypatch, cpus)
+        points = self.points(np.random.default_rng(17), 3 * grid.SWEEP_BLOCK_ROWS + 77)
         self.assert_matches_oracles(points)
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=30)
@@ -337,14 +336,14 @@ class TestBlockedFields:
     )
     def test_any_blocking_bitwise_property(self, cpus, block, tail, seed):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self.on_cpus(monkeypatch, cpus)
-            monkeypatch.setattr(stiffness, "SWEEP_BLOCK_ROWS", block)
+            on_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(grid, "SWEEP_BLOCK_ROWS", block)
             self.assert_matches_oracles(self.points(np.random.default_rng(seed), 3 * block + tail % block))
 
     def test_programming_error_in_a_block_propagates(self, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
+        on_cpus(monkeypatch, 2)
         tail = 77
-        points = self.points(np.random.default_rng(19), 3 * stiffness.SWEEP_BLOCK_ROWS + tail)
+        points = self.points(np.random.default_rng(19), 3 * grid.SWEEP_BLOCK_ROWS + tail)
         joint_inertias = dynamics._joint_inertias
         threads = set()
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import on_cpus
 from pkmforge.errors import Infeasible
 from pkmforge.grid import GridSpec
 from pkmforge.optimize import (
@@ -30,16 +34,18 @@ def starts_for(problem, count=4, seed=7):
 
 
 class TestAttainmentLevel:
-    def test_minimax_identity(self, rng):
-        for _ in range(100):
-            n = rng.integers(1, 6)
-            values = rng.normal(size=n)
-            goals = rng.normal(size=n)
-            weights = rng.uniform(0.1, 2.0, size=n)
-            level = attainment_level(values, goals, weights)
-            # every row satisfied, and tightening by any epsilon breaks one
-            assert np.all(values - weights * level <= goals + 1e-12)
-            assert np.any(values - weights * (level - 1e-9) > goals)
+    @settings(database=None, derandomize=True, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.1, 2.0)), min_size=1, max_size=5
+        )
+    )
+    def test_minimax_identity(self, rows):
+        values, goals, weights = np.array(rows).T
+        level = attainment_level(values, goals, weights)
+        # every row satisfied, and tightening by any epsilon breaks one
+        assert np.all(values - weights * level <= goals + 1e-12)
+        assert np.any(values - weights * (level - 1e-9) > goals)
 
     def test_zero_weight_rows_ignored(self):
         level = attainment_level([5.0, 100.0], [0.0, 0.0], [1.0, 0.0])
@@ -209,13 +215,55 @@ class TestParetoSweep:
             assert total == pytest.approx(1.0, abs=1e-3)
             assert 0.0 - 1e-9 <= point.design[0] <= 1.0 + 1e-9
 
-    def test_threaded_sweep_matches_serial(self):
-        problem, weights = analytic_preset("biobjective_front")
-        serial = pareto_sweep(problem, weights, starts_for(problem), budget=300, threads=1)
-        threaded = pareto_sweep(problem, weights, starts_for(problem), budget=300, threads=4)
-        assert len(serial.points) == len(threaded.points)
-        for a, b in zip(serial.points, threaded.points):
-            assert np.array_equal(a.objectives, b.objectives)
+    @staticmethod
+    def solved_on(monkeypatch, cpus, problem, weights, starts, budget):
+        """The Pareto set on ``cpus`` CPUs and the threads its objectives ran in."""
+        threads = set()
+
+        def recorded(evaluate):
+            def wrapper(x):
+                threads.add(threading.current_thread())
+                return evaluate(x)
+
+            return wrapper
+
+        objectives = tuple(replace(o, evaluate=recorded(o.evaluate)) for o in problem.objectives)
+        on_cpus(monkeypatch, cpus)
+        front = pareto_sweep(replace(problem, objectives=objectives), weights, starts, budget=budget)
+        return front, threads
+
+    def test_threaded_sweep_matches_serial(self, monkeypatch):
+        biobjective, weights = analytic_preset("biobjective_front")
+        orthoglide = orthoglide_geometry_problem((1.0, 1.0, 0.8), (0.5, 2.0), resolution=8)
+        cases = (
+            (biobjective, weights, starts_for(biobjective), 300),
+            (orthoglide, [np.array([1.0, 1.0, 0.8]), np.array([0.8, 1.0, 1.0])], starts_for(orthoglide, 2), 40),
+        )
+        for problem, weights, starts, budget in cases:
+            serial, serial_threads = self.solved_on(monkeypatch, 1, problem, weights, starts, budget)
+            threaded, threads = self.solved_on(monkeypatch, 2, problem, weights, starts, budget)
+            assert serial_threads == {threading.main_thread()}
+            assert threads and threading.main_thread() not in threads
+            assert len(serial.points) >= 2
+            assert threaded.points == serial.points
+            assert threaded.failures == serial.failures == []
+
+    def test_many_solves_on_more_workers_than_cores(self, monkeypatch):
+        # the solves share the problem and its grid's cached node positions
+        problem = orthoglide_geometry_problem((1.0, 1.0, 0.8), (0.5, 2.0), resolution=8)
+        weights = [np.array(w) for w in ([1.0, 1.0, 0.8], [0.8, 1.0, 1.0], [1.0, 0.8, 1.0], [1.0, 1.0, 1.0])]
+        starts = starts_for(problem, 2)
+        serial, _ = self.solved_on(monkeypatch, 1, problem, weights, starts, 40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            stressed, threads = self.solved_on(monkeypatch, 8, problem, weights, starts, 40)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - started < 60.0
+        assert len(threads) > 1 and threading.main_thread() not in threads
+        assert stressed.points == serial.points
 
     def test_failures_recorded_and_sweep_continues(self):
         problem = GoalProblem(
@@ -239,11 +287,12 @@ class TestParetoSweep:
         assert np.array_equal(front.failures[0][0], [0.0, 0.0])
         assert front.failures[0][1].startswith("ValueError")
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_programming_error_propagates(self, threads):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_programming_error_propagates(self, cpus, monkeypatch):
         problem, weights = analytic_preset("biobjective_front")
+        on_cpus(monkeypatch, cpus)
         with pytest.raises(TypeError):
-            pareto_sweep(problem, weights[:2], [object()], budget=50, threads=threads)
+            pareto_sweep(problem, weights[:2], [object()], budget=50)
 
 
 class TestWorkspaceConstraint:

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from conftest import reachable, signed_zero_values
+from conftest import on_cpus, reachable, signed_zero_values
 
-from pkmforge import stiffness
+from pkmforge import grid, stiffness
 from pkmforge.errors import EmptyInput, SingularStiffness, SingularSystem
 from pkmforge.grid import GridSpec, ThresholdPredicate, evaluate_mask, nested_cuboids
 from pkmforge.kinematics import GeometryParams, batch_inverse_kinematics, inverse_kinematics
@@ -276,7 +276,7 @@ class TestBlockedSweep:
     a thread pool; no row's bits may depend on the blocking or on the CPU
     count."""
 
-    BLOCK = stiffness.SWEEP_BLOCK_ROWS
+    BLOCK = grid.SWEEP_BLOCK_ROWS
     ROWS = 5 * BLOCK + 77
     # slice ends; each slice packs its own reachable rows into blocks
     CUTS = (0, 1, BLOCK // 2, BLOCK + 1, 2 * BLOCK - 1, 3 * BLOCK - BLOCK // 3, ROWS)
@@ -302,10 +302,6 @@ class TestBlockedSweep:
         solved, values = stiffness.translational_deflection(valid, k, spec.load)
         return valid, k, solved, values
 
-    @staticmethod
-    def on_cpus(monkeypatch, count):
-        monkeypatch.setattr(stiffness.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
     def assert_bitwise_equal(self, outputs, references):
         for output, reference in zip(outputs, references):
             assert output.dtype == reference.dtype
@@ -313,20 +309,20 @@ class TestBlockedSweep:
             assert output.tobytes() == reference.tobytes()
 
     def test_blocks_match_slices_and_one_cpu_bitwise(self, points, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
+        on_cpus(monkeypatch, 2)
         threaded = self.sweep(points)
         assert threaded[0].any() and not threaded[0].all()
         assert threaded[2].any()
         pieces = [self.sweep(points[lo:hi]) for lo, hi in zip(self.CUTS, self.CUTS[1:])]
         self.assert_bitwise_equal(threaded, [np.concatenate(column) for column in zip(*pieces)])
-        self.on_cpus(monkeypatch, 1)
+        on_cpus(monkeypatch, 1)
         self.assert_bitwise_equal(threaded, self.sweep(points))
 
     def test_many_small_blocks_on_more_workers_than_cores(self, points, monkeypatch):
-        self.on_cpus(monkeypatch, 1)
+        on_cpus(monkeypatch, 1)
         reference = self.sweep(points[:1000])
-        self.on_cpus(monkeypatch, 8)
-        monkeypatch.setattr(stiffness, "SWEEP_BLOCK_ROWS", 16)
+        on_cpus(monkeypatch, 8)
+        monkeypatch.setattr(grid, "SWEEP_BLOCK_ROWS", 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -338,7 +334,7 @@ class TestBlockedSweep:
         self.assert_bitwise_equal(stressed, reference)
 
     def test_failed_batched_inverse_falls_back_per_row_in_its_block(self, points, short_block, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
+        on_cpus(monkeypatch, 2)
         reference = self.sweep(points)
         solve = np.linalg.solve
         single_rows = []
@@ -358,7 +354,7 @@ class TestBlockedSweep:
         self.assert_bitwise_equal((valid, k), reference[:2])
 
     def test_programming_error_in_a_block_propagates(self, points, short_block, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
+        on_cpus(monkeypatch, 2)
         leg_jacobians = OrthoglideStiffnessModel._leg_jacobians
         threads = set()
 
@@ -374,7 +370,7 @@ class TestBlockedSweep:
         assert threading.main_thread() not in threads
 
     def test_stiffness_is_zero_exactly_where_invalid(self, points, monkeypatch):
-        self.on_cpus(monkeypatch, 2)
+        on_cpus(monkeypatch, 2)
         reference = self.sweep(points)
         leg_jacobians = OrthoglideStiffnessModel._leg_jacobians
 
@@ -438,7 +434,7 @@ def eigvalsh_only_deflection(valid, stiffness_, load):
             values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
             solved[solvable] = True
 
-    stiffness._sweep_blocks(stiffness_.shape[0], block)
+    grid.sweep_blocks(stiffness_.shape[0], block)
     return solved, values
 
 
@@ -459,7 +455,7 @@ class TestConditionGuard:
     "conditioned"; every other row reaches ``eigvalsh`` as before, so the
     output keeps the bits of the ``eigvalsh``-only guard."""
 
-    BLOCK = stiffness.SWEEP_BLOCK_ROWS
+    BLOCK = grid.SWEEP_BLOCK_ROWS
     LOAD = np.array([100.0, -50.0, 80.0, 3.0, -2.0, 1.0])
     # condition numbers of the planted SPD rows, on both sides of 1e12
     CONDITIONS = (1e9, 1e11, 5e11, 9e11, 1.1e12, 2e12, 1e13)
@@ -522,7 +518,7 @@ class TestConditionGuard:
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_matches_eigvalsh_only_guard_bitwise(self, monkeypatch, cpus):
         valid, k, undecided = self.rows()
-        TestBlockedSweep.on_cpus(monkeypatch, cpus)
+        on_cpus(monkeypatch, cpus)
         reference = eigvalsh_only_deflection(valid, k, self.LOAD)
         # the planted rows fall on both sides of the guard
         assert reference[0][undecided].any() and not reference[0][undecided].all()
@@ -541,7 +537,7 @@ class TestConditionGuard:
         # eigvalsh raises on such a row, for the whole block, as it did
         valid, k, _ = self.rows()
         k[self.BLOCK + 3, 2, 2] = bad
-        TestBlockedSweep.on_cpus(monkeypatch, 2)
+        on_cpus(monkeypatch, 2)
         with pytest.raises(np.linalg.LinAlgError):
             eigvalsh_only_deflection(valid, k, self.LOAD)
         seen = self.counting_eigvalsh(monkeypatch)
@@ -599,7 +595,7 @@ class TestOrderedCompliance:
     @pytest.fixture(scope="class")
     def points(self):
         # two full blocks and a ragged tail, most rows reachable
-        rows = 2 * stiffness.SWEEP_BLOCK_ROWS + 77
+        rows = 2 * grid.SWEEP_BLOCK_ROWS + 77
         return np.random.default_rng(11).uniform(-0.6, 0.6, size=(rows, 3))
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=40)
@@ -628,8 +624,8 @@ class TestOrderedCompliance:
             assert 0 < np.count_nonzero(k_inv) < k_inv.size
             _, j_virtual, _ = model._leg_jacobians(points, rho, leg)
             self.assert_same_bits(j_virtual, k_inv)
-            for start in range(0, points.shape[0], stiffness.SWEEP_BLOCK_ROWS):
-                rows = slice(start, start + stiffness.SWEEP_BLOCK_ROWS)
+            for start in range(0, points.shape[0], grid.SWEEP_BLOCK_ROWS):
+                rows = slice(start, start + grid.SWEEP_BLOCK_ROWS)
                 _, j_block, _ = model._leg_jacobians(points[rows], rho[rows], leg)
                 self.assert_same_bits(j_block, k_inv)
 
