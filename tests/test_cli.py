@@ -128,8 +128,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, flag",
         [
-            pytest.param(command, "--resolution", id=command)
-            for command in ("grid-eval", "cuboid", "stiffness-map", "optimize", "pareto", "report")
+            *(
+                pytest.param(command, "--resolution", id=command)
+                for command in ("grid-eval", "cuboid", "stiffness-map", "optimize", "pareto", "report")
+            ),
+            # pareto has no --threads any more; argparse rejects the flag with the same exit code
+            pytest.param("pareto", "--threads", id="pareto---threads"),
         ],
     )
     def test_non_positive_resolution_rejected(self, tmp_path, command, flag, value):
