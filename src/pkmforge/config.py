@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 import numbers
 
 import numpy as np
@@ -307,9 +308,24 @@ def load_config(path) -> dict:
         # json reads NaN and Infinity, although JSON has no such values (RFC 8259 §6)
         raise ConfigError(f"config is not valid JSON: {constant} is not a JSON number")
 
+    def finite(parse):
+        # json reads 1e400 as inf and a 401-digit integer as an int no double
+        # holds; draft-07 would count both as numbers
+        def number(literal: str):
+            try:
+                value = parse(literal)
+                if math.isfinite(value):
+                    return value
+            except (OverflowError, ValueError):  # int() refuses over 4300 digits
+                pass
+            shown = literal if len(literal) <= 20 else f"{literal[:17]}..."
+            raise ConfigError(f"config is not valid JSON: {shown} is outside the range of a double")
+
+        return number
+
     try:
         with open(path) as handle:
-            raw = json.load(handle, parse_constant=refuse)
+            raw = json.load(handle, parse_constant=refuse, parse_float=finite(float), parse_int=finite(int))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -289,8 +289,7 @@ def goal_attain(
         def used() -> int:
             return evaluator.evaluations - start_budget_base
 
-        def minimax_stage(x0, converged0):
-            x, converged = x0, converged0
+        def minimax_stage(x):
             for rho in PENALTY_SCHEDULE:
 
                 def penalized(design, rho=rho):
@@ -326,10 +325,10 @@ def goal_attain(
                 return x
             return x0
 
-        x, converged = minimax_stage(start, False)
+        x, converged = minimax_stage(start)
         refined = refine_stage(x)
         if not np.array_equal(refined, x):
-            x, converged = minimax_stage(refined, converged)
+            x, converged = minimax_stage(refined)
             refined = refine_stage(x)
         x = refined
 

@@ -197,6 +197,28 @@ class TestExitCodes:
         assert code == 2
         assert "config is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, literal",
+        [
+            pytest.param(("dynamics", "tcp_mass"), "1e400", id="tcp-mass"),
+            pytest.param(("stiffness", "load", 1), "-1e400", id="minus-load"),
+            pytest.param(("stiffness", "deflection_limit"), "1e400", id="deflection-limit"),
+            pytest.param(("dynamics", "tcp_mass"), "1" * 401, id="401-digit-tcp-mass"),
+            pytest.param(("dynamics", "tcp_mass"), "1" * 5000, id="5000-digit-tcp-mass"),
+        ],
+    )
+    def test_number_outside_double_range_is_config_error(self, tmp_path, capsys, path, literal):
+        # json.dumps cannot write these literals, so they go into the text; json.load
+        # reads 1e400 as inf and keeps the integers, which overflow a double
+        config = default_config()
+        *keys, last = path
+        functools.reduce(operator.getitem, keys, config)[last] = "literal"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config).replace('"literal"', literal))
+        code = main(["report", "--config", str(config_path), "--out", str(tmp_path / "out"), "--resolution", "8"])
+        assert code == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["optimize", "pareto"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
         config = small_config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import on_cpus, reachable, sample_reachable_points, signed_zero_values
 from pkmforge import dynamics, grid
@@ -49,6 +50,16 @@ def random_invertible(rng):
         m = rng.normal(size=(3, 3))
         if np.linalg.cond(m) < 50:
             return m
+
+
+# the same draws as hypothesis strategies: orthogonal factors around singular
+# values in [0.1, 4.9] keep cond < 50, as random_invertible does
+ORTHOGONAL = hnp.arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)).map(lambda m: np.linalg.qr(m)[0])
+INVERTIBLE = st.builds(
+    lambda u, s, v: u @ np.diag(s) @ v, ORTHOGONAL, hnp.arrays(float, 3, elements=st.floats(0.1, 4.9)), ORTHOGONAL
+)
+SPD = hnp.arrays(float, (3, 3), elements=st.floats(-3.0, 3.0)).map(lambda seed: seed @ seed.T + 3 * np.eye(3))
+VECTOR = hnp.arrays(float, 3, elements=st.floats(-3.0, 3.0))
 
 
 MODEL = InertiaModel(joint_masses=[15.0, 15.0, 15.0], tcp_mass=3.0)
@@ -109,14 +120,12 @@ class TestGeneralizedInertia:
         assert np.linalg.norm(g, 2) == pytest.approx(7.5)
         assert np.linalg.cond(g) == pytest.approx(1.0)
 
-    def test_congruence_identity(self, rng):
-        for _ in range(30):
-            jac = random_invertible(rng)
-            inertia = random_spd(rng)
-            g = generalized_inertia(jac, inertia)
-            v = rng.normal(size=3)
-            jv = np.linalg.solve(jac, v)
-            assert v @ g @ v == pytest.approx(jv @ inertia @ jv, rel=1e-10)
+    @settings(database=None, derandomize=True, deadline=None, max_examples=30)
+    @given(jac=INVERTIBLE, inertia=SPD, v=VECTOR)
+    def test_congruence_identity(self, jac, inertia, v):
+        g = generalized_inertia(jac, inertia)
+        jv = np.linalg.solve(jac, v)
+        assert v @ g @ v == pytest.approx(jv @ inertia @ jv, rel=1e-10)
 
     def test_linear_in_inertia(self, rng):
         jac = random_invertible(rng)
@@ -125,18 +134,17 @@ class TestGeneralizedInertia:
         g2 = generalized_inertia(jac, 3.0 * inertia)
         assert np.linalg.norm(g2, 2) == pytest.approx(3.0 * np.linalg.norm(g1, 2), rel=1e-12)
 
-    def test_eigenvalue_bracket(self, rng):
-        for _ in range(30):
-            jac = random_invertible(rng)
-            inertia = random_spd(rng)
-            g = generalized_inertia(jac, inertia)
-            eig_g = np.linalg.eigvalsh(g)
-            eig_d = np.linalg.eigvalsh(inertia)
-            sigma = np.linalg.svd(jac, compute_uv=False)
-            lower = eig_d[0] / sigma[0] ** 2
-            upper = eig_d[-1] / sigma[-1] ** 2
-            assert eig_g[0] >= lower * (1 - 1e-9)
-            assert eig_g[-1] <= upper * (1 + 1e-9)
+    @settings(database=None, derandomize=True, deadline=None, max_examples=30)
+    @given(jac=INVERTIBLE, inertia=SPD)
+    def test_eigenvalue_bracket(self, jac, inertia):
+        g = generalized_inertia(jac, inertia)
+        eig_g = np.linalg.eigvalsh(g)
+        eig_d = np.linalg.eigvalsh(inertia)
+        sigma = np.linalg.svd(jac, compute_uv=False)
+        lower = eig_d[0] / sigma[0] ** 2
+        upper = eig_d[-1] / sigma[-1] ** 2
+        assert eig_g[0] >= lower * (1 - 1e-9)
+        assert eig_g[-1] <= upper * (1 + 1e-9)
 
     def test_singular_jacobian_raises(self):
         singular = np.diag([1.0, 1.0, 0.0])
