@@ -8,12 +8,12 @@ cube in *index* space maps to the largest cuboid of proportions a x b x c in
 Cartesian space; its scale factor is ``mu = (m - 1) / N0`` for a cube of
 ``m`` nodes per edge.
 
-``largest_cuboid`` builds a summed-area table (a 3-D integral image) of the
-boolean mask, so the true-node count of any cube is an 8-term
-inclusion-exclusion, and binary-searches the cube edge: a cube of edge e
-fits where that count equals e**3, and a fitting cube of edge e contains
-one of edge e - 1.  Of the upper corners that end a largest cube, the first
-in C order (the lexicographically smallest) is reported.
+``largest_cuboid`` searches the cube edge on boolean flags alone: the mask
+flags the cubes of edge 1, and three shifted ANDs, one per axis, turn the
+flags of edge m into those of any edge up to 2m.  The edge doubles while a
+cube of twice the edge fits, then a binary search finds it below the next
+power of two.  Of the upper corners that end a largest cube, the first in C
+order (the lexicographically smallest) is reported.
 ``brute_force_cuboid`` is the deliberately dumb oracle used to validate the
 search.
 """
@@ -279,69 +279,59 @@ def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
     return FeasibilityMask(flags.reshape(spec.dims))
 
 
-def _integral_image(data: np.ndarray) -> np.ndarray:
-    """Zero-padded 3-D summed-area table: ``table[i, j, k]`` counts the true
-    nodes in ``data[:i, :j, :k]``.
+def _grow(fits: np.ndarray, step: int) -> np.ndarray:
+    """Cube flags of edge ``m`` to those of edge ``m + step``, for
+    ``0 <= step <= m``.
 
-    int32 holds any count below 2**31 nodes; larger masks use int64.  Only
-    the contiguous last axis takes a ``cumsum``; the other two are summed
-    plane by plane, which streams memory instead of striding across it.
+    Flags are indexed by the cube's lower corner.  The cube of edge
+    ``m + step`` at a corner is the union of the edge-``m`` cubes at the
+    corner plus ``{0, step}`` per axis (they overlap while ``step <= m``), so
+    one shifted AND per axis tests it.
     """
-    dtype = np.int64 if data.size >= 2**31 else np.int32
-    table = np.zeros(tuple(n + 1 for n in data.shape), dtype=dtype)
-    table[1:, 1:, 1:] = data
-    np.cumsum(table, axis=2, out=table)
-    for j in range(1, table.shape[1]):
-        table[:, j] += table[:, j - 1]
-    for i in range(1, table.shape[0]):
-        table[i] += table[i - 1]
-    return table
-
-
-def _cube_fits(table: np.ndarray, edge: int) -> np.ndarray:
-    """Flags over upper corners: True where the all-true cube of ``edge``
-    nodes ending at that corner fits.
-
-    Entry ``[a, b, c]`` is the upper corner ``(a, b, c) + edge - 1``.  The
-    8-term inclusion-exclusion is taken one axis at a time, three
-    differences instead of seven sums.
-    """
-    box = table[edge:] - table[:-edge]
-    box = box[:, edge:] - box[:, :-edge]
-    box = box[:, :, edge:] - box[:, :, :-edge]
-    return box == edge**3
+    i, j, k = (n - step for n in fits.shape)
+    fits = fits[step:] & fits[:i]
+    fits = fits[:, step:] & fits[:, :j]
+    return fits[:, :, step:] & fits[:, :, :k]
 
 
 def _cube_sizes(mask: FeasibilityMask) -> tuple[int, tuple[int, int, int]]:
     """Largest all-true cube edge and its upper corner, ``(edge, anchor)``.
 
-    Binary search on the edge over a summed-area table: a cube of edge e
-    that fits contains one of edge e - 1, so "some cube of edge e fits" is
-    monotone in e.  The anchor is the first upper corner in C order, i.e.
+    The mask itself flags the cubes of edge 1.  The edge doubles while some
+    cube of twice the edge fits; a fitting cube of edge e contains one of
+    every smaller edge, so the largest edge then lies below twice the last
+    fitting power of two, and a binary search grows each probe from that
+    power's flags.  The anchor is the first upper corner in C order, i.e.
     the lexicographically smallest, that ends a cube of the maximal edge.
     An all-false mask gives ``(0, (0, 0, 0))``.
     """
-    table = _integral_image(mask.data)
-    lo, hi = 0, min(mask.dims)
-    fits = None
+    fits = mask.data
+    if not fits.any():
+        return 0, (0, 0, 0)
+    limit = min(mask.dims)
+    edge = 1
+    while 2 * edge <= limit:
+        doubled = _grow(fits, edge)
+        if not doubled.any():
+            break
+        edge, fits = 2 * edge, doubled
+    lo, hi, best = edge, min(limit, 2 * edge - 1), fits
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        candidate = _cube_fits(table, mid)
+        candidate = _grow(fits, mid - edge)
         if candidate.any():
-            lo, fits = mid, candidate
+            lo, best = mid, candidate
         else:
             hi = mid - 1
-    if lo == 0:
-        return 0, (0, 0, 0)
-    corner = np.unravel_index(int(np.argmax(fits)), fits.shape)
+    corner = np.unravel_index(int(np.argmax(best)), best.shape)
     return lo, tuple(int(c) + lo - 1 for c in corner)
 
 
 def largest_cuboid(mask: FeasibilityMask, spec: GridSpec) -> CuboidResult:
     """Largest all-true index cube in the mask, as a Cartesian cuboid.
 
-    The edge is exact (summed-area table plus binary search on the edge, see
-    ``_cube_sizes``).  Ties between equally large cubes break toward the
+    The edge is exact (doubling then binary search on boolean cube flags,
+    see ``_cube_sizes``).  Ties between equally large cubes break toward the
     lexicographically smallest anchor, the upper corner ``index_max``.
     Raises DimensionMismatch when mask and spec disagree on node counts.
     """

@@ -15,7 +15,7 @@ from pkmforge.grid import (
     GridSpec,
     ScalarField,
     ThresholdPredicate,
-    _integral_image,
+    _grow,
     _ValueSemantics,
     brute_force_cuboid,
     evaluate_mask,
@@ -37,6 +37,60 @@ def batch_predicate(flags):
 
 def norm_field():
     return ScalarField(lambda p: float(np.linalg.norm(p)), lambda pts: np.linalg.norm(pts, axis=1))
+
+
+def random_masks(low, high):
+    """Masks with each of the three dims in [low, high] and each node true
+    with a drawn probability."""
+    return st.builds(
+        lambda dims, density, seed: np.random.default_rng(seed).random(dims) < density,
+        st.tuples(*[st.integers(low, high)] * 3),
+        st.floats(0.1, 0.95),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def true_block(dims, edge):
+    """An all-false mask but for one all-true cube of ``edge`` at ``(1, 1, 1)``."""
+    data = np.zeros(dims, bool)
+    data[1 : 1 + edge, 1 : 1 + edge, 1 : 1 + edge] = True
+    return data
+
+
+def at_doubling_boundaries(test):
+    """Masks whose largest edge sits where the search stops doubling: a power
+    of two filling the mask, a block one short of and one past a power of
+    two, and a mask two nodes thick."""
+    for data in (
+        np.ones((4, 4, 4), bool),
+        np.ones((8, 8, 8), bool),
+        true_block((12, 12, 12), 7),
+        true_block((12, 12, 12), 9),
+        np.ones((2, 12, 12), bool),
+    ):
+        test = example(data)(test)
+    return test
+
+
+def window_flags(data, edge):
+    """Per lower corner, whether the cube of ``edge`` nodes there is all true,
+    by a direct ``.all()`` over each window."""
+    shape = tuple(n - edge + 1 for n in data.shape)
+    flags = np.zeros(shape, bool)
+    for i, j, k in np.ndindex(*shape):
+        flags[i, j, k] = data[i : i + edge, j : j + edge, k : k + edge].all()
+    return flags
+
+
+@st.composite
+def grow_cases(draw):
+    """(data, m, n) with 1 <= m <= n <= 2m and n no longer than any axis."""
+    dims = draw(st.tuples(*[st.integers(1, 9)] * 3))
+    n = draw(st.integers(1, min(dims)))
+    m = draw(st.integers((n + 1) // 2, n))
+    density = draw(st.floats(0.3, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(dims) < density, m, n
 
 
 def value_cases():
@@ -273,17 +327,18 @@ class TestLargestCuboid:
         with pytest.raises(DimensionMismatch):
             largest_cuboid(FeasibilityMask(np.ones((3, 3, 3), bool)), make_spec((4, 4, 4)))
 
-    def test_reported_cube_is_true_and_maximal(self, rng):
-        for _ in range(30):
-            dims = rng.integers(3, 9, size=3)
-            mask = FeasibilityMask(rng.random(dims) < 0.7)
-            result = largest_cuboid(mask, make_spec(dims))
-            if not result.found:
-                assert not mask.data.any()
-                continue
-            lo, hi = result.index_min, result.index_max
-            assert mask.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1].all()
-            assert brute_force_cuboid(mask) == result.node_edge
+    @settings(database=None, derandomize=True, deadline=None, max_examples=30)
+    @given(random_masks(3, 8))
+    @at_doubling_boundaries
+    def test_reported_cube_is_true_and_maximal(self, data):
+        mask = FeasibilityMask(data)
+        result = largest_cuboid(mask, make_spec(mask.dims))
+        if not result.found:
+            assert not mask.data.any()
+            return
+        lo, hi = result.index_min, result.index_max
+        assert mask.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1].all()
+        assert brute_force_cuboid(mask) == result.node_edge
 
     def test_tie_break_lexicographic(self):
         data = np.zeros((3, 3, 3), bool)
@@ -322,18 +377,13 @@ class TestLargestCuboid:
         assert result.index_max == first
 
     @settings(database=None, derandomize=True, deadline=None)
-    @given(st.tuples(*[st.integers(1, 9)] * 3), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-    @example((1, 5, 3), 0.5, 1)
-    @example((4, 1, 1), 0.5, 2)
-    def test_integral_image_matches_three_cumsums(self, dims, density, seed):
-        data = np.random.default_rng(seed).random(dims) < density
-        reference = np.zeros(tuple(n + 1 for n in dims), dtype=np.int32)
-        reference[1:, 1:, 1:] = data
-        for axis in range(3):
-            reference = np.cumsum(reference, axis=axis, dtype=np.int32)
-        table = _integral_image(data)
-        assert table.dtype == np.int32
-        assert np.array_equal(table, reference)
+    @given(grow_cases())
+    @example((np.ones((6, 7, 8), bool), 3, 6))  # n = 2m
+    @example((np.random.default_rng(1).random((5, 4, 6)) < 0.9, 2, 4))  # n = 2m, one axis of length n
+    @example((np.random.default_rng(2).random((7, 9, 5)) < 0.9, 3, 5))  # one axis of length n
+    def test_grow_matches_window_all(self, case):
+        data, m, n = case
+        assert np.array_equal(_grow(window_flags(data, m), n - m), window_flags(data, n))
 
     def test_cart_extent_equals_mu_times_proportions(self):
         # exact binary arithmetic: origin, proportions and N0 are powers of two
@@ -372,13 +422,12 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_cuboid(FeasibilityMask(np.ones((17, 4, 4), bool)))
 
-    def test_matches_dp_on_fuzz(self, rng):
-        for _ in range(200):
-            dims = rng.integers(2, 13, size=3)
-            density = rng.uniform(0.1, 0.9)
-            mask = FeasibilityMask(rng.random(dims) < density)
-            dp = largest_cuboid(mask, make_spec(dims)).node_edge
-            assert dp == brute_force_cuboid(mask)
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(random_masks(2, 12))
+    @at_doubling_boundaries
+    def test_matches_dp_on_fuzz(self, data):
+        mask = FeasibilityMask(data)
+        assert largest_cuboid(mask, make_spec(mask.dims)).node_edge == brute_force_cuboid(mask)
 
 
 class TestNestedCuboids:
