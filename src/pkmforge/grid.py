@@ -283,10 +283,10 @@ def _grow(fits: np.ndarray, step: int) -> np.ndarray:
     """Cube flags of edge ``m`` to those of edge ``m + step``, for
     ``0 <= step <= m``.
 
-    Flags are indexed by the cube's lower corner.  The cube of edge
-    ``m + step`` at a corner is the union of the edge-``m`` cubes at the
-    corner plus ``{0, step}`` per axis (they overlap while ``step <= m``), so
-    one shifted AND per axis tests it.
+    Flags are indexed by the cube's lower corner.  While ``step <= m``, the
+    cube of edge ``m + step`` at a corner is the union of the edge-``m``
+    cubes at the corner plus ``{0, step}`` per axis, so one shifted AND per
+    axis tests it.
     """
     i, j, k = (n - step for n in fits.shape)
     fits = fits[step:] & fits[:i]
