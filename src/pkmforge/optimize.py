@@ -146,25 +146,46 @@ def attainment_level(values, goals, weights) -> float:
 
 
 class _ProblemEvaluator:
-    """Caches objective/constraint evaluations keyed on the quantized design."""
+    """Caches evaluations keyed on the quantized design; constraints lazily.
+
+    A design counts as one evaluation when its key is first seen, and its
+    objectives are computed then.  Its constraints, the costly part, are
+    computed only when first asked for, at the first design stored under the
+    key, so a design within ``CACHE_QUANTUM`` of an earlier one shares that
+    design's values whichever way either was reached.
+    """
 
     def __init__(self, problem: GoalProblem):
         self.problem = problem
-        self.cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # key -> (first design, its objectives); key -> its constraints
+        self.designs: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self.constraints: dict[tuple[int, ...], np.ndarray] = {}
         self.evaluations = 0
 
     def _key(self, x: np.ndarray) -> tuple[int, ...]:
         return tuple(int(v) for v in np.round(x / CACHE_QUANTUM))
 
-    def __call__(self, x: np.ndarray):
-        key = self._key(x)
-        hit = self.cache.get(key)
+    def _design(self, key: tuple[int, ...], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit = self.designs.get(key)
         if hit is not None:
             return hit
         values = np.array([o.evaluate(x) for o in self.problem.objectives], dtype=float)
-        constraints = np.array([c.evaluate(x) for c in self.problem.constraints], dtype=float)
         self.evaluations += 1
-        self.cache[key] = (values, constraints)
+        self.designs[key] = (x, values)
+        return x, values
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The objectives of ``x``, without computing its constraints."""
+        return self._design(self._key(x), x)[1]
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The objectives and constraints of ``x``."""
+        key = self._key(x)
+        first, values = self._design(key, x)
+        constraints = self.constraints.get(key)
+        if constraints is None:
+            constraints = np.array([c.evaluate(first) for c in self.problem.constraints], dtype=float)
+            self.constraints[key] = constraints
         return values, constraints
 
     def residual(self, values: np.ndarray, constraints: np.ndarray) -> float:
@@ -204,7 +225,7 @@ def latin_hypercube(bounds, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def pattern_search(
-    func: Callable[[np.ndarray], float],
+    func: Callable[[np.ndarray, float], float],
     start: np.ndarray,
     bounds: np.ndarray,
     budget: int,
@@ -218,13 +239,19 @@ def pattern_search(
     box span), moves greedily to the best improving trial, and halves the
     steps when no poll improves.  Stops once every step is at most
     ``STEP_TOLERANCE_FRACTION`` of its span, or when ``evaluations_used``
-    exceeds the budget.  Returns (x, f, converged).
+    (the designs visited) reaches the budget.  Returns (x, f, converged).
+
+    ``func(x, cutoff)`` must return the exact value of ``x`` when it is
+    below ``cutoff``, and otherwise any value at or above it.  A trial only
+    has to beat the running best of its poll, so that is its cutoff, and
+    ``func`` may skip the costly part of a trial that cannot win; the start
+    is evaluated with an infinite cutoff.
     """
     bounds = np.asarray(bounds, dtype=float)
     span = bounds[:, 1] - bounds[:, 0]
     steps = INITIAL_STEP_FRACTION * span
     x = np.clip(np.asarray(start, dtype=float), bounds[:, 0], bounds[:, 1])
-    fx = func(x)
+    fx = func(x, np.inf)
     dim = x.size
 
     directions = [np.eye(dim)[i] for i in range(dim)]
@@ -240,7 +267,7 @@ def pattern_search(
                 trial = np.clip(x + sign * direction * steps, bounds[:, 0], bounds[:, 1])
                 if np.array_equal(trial, x):
                     continue
-                value = func(trial)
+                value = func(trial, best_value)
                 if value < best_value:
                     best_value = value
                     best_trial = trial
@@ -270,6 +297,9 @@ def goal_attain(
     not degrading by more than ``LAMBDA_TOL``, which pins objectives that
     the minimax level alone leaves free on its ridge; when it moves the
     design, the minimax stage and the pass run once more from there.
+    Both merits add their constraint term, which is never negative, last,
+    so a trial whose objective part already reaches its poll's running best
+    cannot win and is answered without computing its constraints.
     Raises Infeasible when no start reaches a feasible design within its
     budget.
     """
@@ -292,9 +322,13 @@ def goal_attain(
         def minimax_stage(x):
             for rho in PENALTY_SCHEDULE:
 
-                def penalized(design, rho=rho):
+                def penalized(design, cutoff, rho=rho):
+                    # the residual is >= 0, so the level alone bounds the sum
+                    level = evaluator.level(evaluator.values(design))
+                    if level >= cutoff:
+                        return level
                     values, constraints = evaluator(design)
-                    return evaluator.level(values) + rho * evaluator.residual(values, constraints)
+                    return level + rho * evaluator.residual(values, constraints)
 
                 x, _, converged = pattern_search(
                     penalized, x, bounds, budget, used, extra_directions=extra
@@ -312,10 +346,13 @@ def goal_attain(
             rho = PENALTY_SCHEDULE[-1]
             guard = 1e6 * max(1.0, abs(cap))
 
-            def lexicographic(design):
-                values, constraints = evaluator(design)
+            def lexicographic(design, cutoff):
+                values = evaluator.values(design)
                 total = evaluator.squared_excess(values)
                 total += guard * max(0.0, evaluator.level(values) - cap)
+                if total >= cutoff:
+                    return total
+                values, constraints = evaluator(design)
                 total += rho * guard * evaluator.residual(values, constraints)
                 return total
 

@@ -60,6 +60,7 @@ INVERTIBLE = st.builds(
 )
 SPD = hnp.arrays(float, (3, 3), elements=st.floats(-3.0, 3.0)).map(lambda seed: seed @ seed.T + 3 * np.eye(3))
 VECTOR = hnp.arrays(float, 3, elements=st.floats(-3.0, 3.0))
+SPHERE_2048 = fibonacci_sphere(2048)
 
 
 MODEL = InertiaModel(joint_masses=[15.0, 15.0, 15.0], tcp_mass=3.0)
@@ -164,39 +165,38 @@ class TestAccelerationCapability:
         r2 = min_achievable_acceleration(jac, inertia, [2.0, 2.0, 2.0])
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
-    def test_sampled_support_lower_bounds_exact_value(self, rng):
+    @settings(database=None, derandomize=True, deadline=None, max_examples=40)
+    @given(jac=INVERTIBLE, inertia=SPD, limits=hnp.arrays(float, 3, elements=st.floats(0.5, 3.0)))
+    def test_sampled_support_lower_bounds_exact_value(self, jac, inertia, limits):
         # universal: sampling the support can never go below the facet value,
         # and folding the samples into the direction set leaves it exact
-        directions = fibonacci_sphere(2048)
-        for _ in range(40):
-            jac = random_invertible(rng)
-            inertia = random_spd(rng)
-            limits = rng.uniform(0.5, 3.0, size=3)
-            generators = (jac @ np.linalg.inv(inertia)) * limits[None, :]
-            g0, g1, g2 = generators.T
-            normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)])
-            normals /= np.linalg.norm(normals, axis=1)[:, None]
-            exact = zonotope_support_minimum(generators, normals)
-            sampled = zonotope_support_minimum(generators, directions)
-            assert sampled >= exact - 1e-9
-            combined = min_achievable_acceleration(jac, inertia, limits)
-            assert combined == pytest.approx(exact, rel=1e-12)
+        generators = (jac @ np.linalg.inv(inertia)) * limits[None, :]
+        g0, g1, g2 = generators.T
+        normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        exact = zonotope_support_minimum(generators, normals)
+        sampled = zonotope_support_minimum(generators, SPHERE_2048)
+        assert sampled >= exact - 1e-9
+        combined = min_achievable_acceleration(jac, inertia, limits)
+        assert combined == pytest.approx(exact, rel=1e-12)
 
-    def test_sampled_support_within_two_percent_near_axis_alignment(self, rng):
+    @settings(database=None, derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sampled_support_within_two_percent_near_axis_alignment(self, seed):
         # the sampled cross-check resolves the kinked minimum to 2% when the
         # zonotope stays near axis alignment; arbitrary rotations would need
-        # a denser direction set than 2048
-        directions = fibonacci_sphere(2048)
-        for _ in range(100):
-            scale = rng.uniform(0.5, 2.0)
-            generators = scale * np.eye(3) + 0.001 * scale * rng.normal(size=(3, 3))
-            g0, g1, g2 = generators.T
-            normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)])
-            normals /= np.linalg.norm(normals, axis=1)[:, None]
-            exact = zonotope_support_minimum(generators, normals)
-            sampled = zonotope_support_minimum(generators, directions)
-            assert sampled >= exact - 1e-9
-            assert sampled <= exact * 1.02
+        # a denser direction set than 2048.  The 2% holds for normal noise,
+        # not for every entry at +/-3, so the seed draws the perturbation.
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.5, 2.0)
+        generators = scale * np.eye(3) + 0.001 * scale * rng.normal(size=(3, 3))
+        g0, g1, g2 = generators.T
+        normals = np.stack([np.cross(g0, g1), np.cross(g0, g2), np.cross(g1, g2)])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        exact = zonotope_support_minimum(generators, normals)
+        sampled = zonotope_support_minimum(generators, SPHERE_2048)
+        assert sampled >= exact - 1e-9
+        assert sampled <= exact * 1.02
 
     def test_monotone_in_each_torque_limit(self, rng):
         jac = random_invertible(rng)

@@ -6,13 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import on_cpus
+from pkmforge import optimize
 from pkmforge.errors import Infeasible
 from pkmforge.grid import GridSpec
 from pkmforge.optimize import (
+    CACHE_QUANTUM,
     GoalProblem,
     Objective,
     ParetoPoint,
@@ -26,6 +28,7 @@ from pkmforge.optimize import (
     pareto_filter,
     pareto_sweep,
     workspace_constraint,
+    _ProblemEvaluator,
 )
 
 
@@ -133,6 +136,126 @@ class TestGoalAttain:
         res_a = goal_attain(problem, starts_for(problem, seed=1), budget=500)
         res_b = goal_attain(problem, starts_for(problem, seed=99), budget=500)
         assert abs(res_a.lambda_star - res_b.lambda_star) <= 1e-4
+
+
+def counting(problem):
+    """``problem`` with its constraints wrapped to record every design they
+    are evaluated at; returns (problem, list of those designs)."""
+    calls = []
+
+    def wrap(constraint):
+        def evaluate(x):
+            calls.append(np.array(x, copy=True))
+            return constraint.evaluate(x)
+
+        return WorkspaceConstraint(evaluate=evaluate, bound=constraint.bound)
+
+    return replace(problem, constraints=tuple(wrap(c) for c in problem.constraints)), calls
+
+
+def eager_goal_attain(problem, starts, budget):
+    """``goal_attain`` with every trial evaluated in full: its pattern search
+    passes the merit an infinite cutoff instead of the poll's running best."""
+    search = optimize.pattern_search
+
+    def full(func, *args, **kwargs):
+        return search(lambda design, cutoff: func(design, np.inf), *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "pattern_search", full)
+        return goal_attain(problem, starts, budget=budget)
+
+
+def outcome(solve, problem, starts, budget):
+    """Everything a solve reports, in bytes, or "infeasible"."""
+    try:
+        result = solve(problem, starts, budget)
+    except Infeasible:
+        return "infeasible"
+    return (
+        result.pi_star.tobytes(),
+        float(result.lambda_star).hex(),
+        result.evaluations,
+        result.status,
+        result.objective_values.tobytes(),
+        result.constraint_values.tobytes(),
+    )
+
+
+LAZY_PROBLEMS = {
+    "orthoglide-1x1x0.8": orthoglide_geometry_problem((1.0, 1.0, 0.8), (0.5, 2.0), resolution=8),
+    "orthoglide-1x1x1": orthoglide_geometry_problem((1.0, 1.0, 1.0), (0.5, 2.0), resolution=8),
+    **{name: analytic_preset(name)[0] for name in ("symmetric_quadratics", "biobjective_front")},
+}
+
+
+class TestLazyConstraints:
+    """The search computes a trial's constraints only when its objectives
+    alone could still beat the poll's running best; results are unchanged."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=40)
+    @given(
+        name=st.sampled_from(sorted(LAZY_PROBLEMS)),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 3),
+        budget=st.sampled_from((13, 40, 150)) | st.integers(1, 150),
+    )
+    @example(name="orthoglide-1x1x0.8", seed=7, count=2, budget=13)  # the budget runs out mid-poll
+    @example(name="orthoglide-1x1x1", seed=3, count=1, budget=150)
+    @example(name="symmetric_quadratics", seed=1, count=2, budget=13)
+    @example(name="biobjective_front", seed=1, count=4, budget=60)
+    def test_lazy_search_equals_eager(self, name, seed, count, budget):
+        problem = LAZY_PROBLEMS[name]
+        starts = starts_for(problem, count, seed)
+        lazy = outcome(lambda p, s, b: goal_attain(p, s, budget=b), problem, starts, budget)
+        assert lazy == outcome(eager_goal_attain, problem, starts, budget)
+
+    def test_fewer_constraint_calls_on_orthoglide(self):
+        problem, calls = counting(LAZY_PROBLEMS["orthoglide-1x1x0.8"])
+        starts = starts_for(problem, 2, seed=5)
+        eager = eager_goal_attain(problem, starts, budget=150)
+        eager_calls = len(calls)
+        calls.clear()
+        lazy = goal_attain(problem, starts, budget=150)
+        assert lazy.evaluations == eager.evaluations == eager_calls
+        assert len(calls) < eager_calls
+
+
+class TestProblemEvaluator:
+    def problem(self):
+        objectives = tuple(
+            Objective(lambda x, i=i: float(x[i]), goal=0.0, weight=1.0) for i in range(2)
+        )
+        constraint = WorkspaceConstraint(lambda x: float(x[0] - x[1]), bound=0.0)
+        return counting(GoalProblem(objectives, (constraint,), np.array([[0.0, 2.0]] * 2)))
+
+    def test_design_within_quantum_counts_once(self):
+        problem, calls = self.problem()
+        evaluator = _ProblemEvaluator(problem)
+        first = np.array([0.25, 1.5])
+        near = first + 0.2 * CACHE_QUANTUM
+        assert not np.array_equal(near, first) and evaluator._key(near) == evaluator._key(first)
+        values = evaluator.values(first)
+        assert evaluator.evaluations == 1 and calls == []
+        near_values, constraints = evaluator(near)
+        assert evaluator.evaluations == 1
+        assert near_values is values
+        assert len(calls) == 1 and calls[0].tobytes() == first.tobytes()
+        assert constraints.tolist() == [first[0] - first[1]]
+        evaluator(first)
+        assert evaluator.evaluations == 1 and len(calls) == 1
+
+    def test_values_then_call_counts_once(self):
+        problem, calls = self.problem()
+        evaluator = _ProblemEvaluator(problem)
+        x = np.array([1.0, 0.5])
+        assert evaluator.values(x).tolist() == [1.0, 0.5]
+        assert evaluator.evaluations == 1 and calls == []
+        values, constraints = evaluator(x)
+        assert values.tolist() == [1.0, 0.5] and constraints.tolist() == [0.5]
+        assert evaluator.evaluations == 1 and len(calls) == 1
+        evaluator.values(np.array([0.0, 0.0]))
+        assert evaluator.evaluations == 2 and len(calls) == 1
 
 
 class TestParetoFilter:
