@@ -96,10 +96,12 @@ def cmd_grid_eval(config: dict, args) -> int:
     out = _out_dir(config, args)
     spec = build_grid(config, args.resolution)
     predicate = _criterion(config, args.criterion)
+    positions = spec.node_positions()
+    # the field first: the mask then reuses the field's sweep of these positions
+    values = predicate.field.batch(positions) if "csv" in config["output"]["formats"] else None
     mask = evaluate_mask(spec, predicate)
-    if "csv" in config["output"]["formats"]:
-        positions = spec.node_positions()
-        table = np.column_stack([positions, predicate.field.batch(positions), mask.data.ravel()])
+    if values is not None:
+        table = np.column_stack([positions, values, mask.data.ravel()])
         _write_csv(out / f"{args.criterion}_map.csv", ("x", "y", "z", "value", "feasible"), table)
     save_mask(out / f"{args.criterion}_mask.npz", mask)
     print(f"{args.criterion}: {mask.count()} of {mask.data.size} nodes feasible")

@@ -30,6 +30,9 @@ CONDITION_LIMIT = 1e12
 # rows per batch_transmission block: a block's temporaries stay in cache,
 # and a 33^3 grid (35,937 nodes) is still one block
 TRANSMISSION_BLOCK_ROWS = 1 << 16
+# rows per block of a transmission mask swept alone: a block's temporaries
+# (about 4 MB at this size) are all the memory it needs besides its flags
+MASK_BLOCK_ROWS = 1 << 14
 
 
 def _vec3(value, name: str) -> np.ndarray:
@@ -366,13 +369,19 @@ def condition_field(geometry: GeometryParams):
 
 
 class _TransmissionPredicate:
-    """Conditioning predicate whose mask and condition-number ``field`` share
-    one ``batch_transmission`` sweep per position array."""
+    """Conditioning predicate with a condition-number ``field``.
+
+    The field keeps the ``batch_transmission`` sweep of the latest position
+    array it was asked for, and a mask over that same array thresholds the
+    kept sweep, so the two share one sweep.  Any other mask is swept block by
+    block and keeps only its flags: the float outputs of a full sweep take 24
+    bytes per node (51 MB on a 129^3 grid), a mask one byte.
+    """
 
     def __init__(self, geometry: GeometryParams, cond_max, sigma_range):
         from .grid import ScalarField
 
-        latest = []  # [positions, batch_transmission result] of the latest sweep
+        latest = []  # [positions, batch_transmission result] of the field's sweep
 
         def transmission(positions):
             if not latest or latest[0] is not positions:
@@ -382,15 +391,15 @@ class _TransmissionPredicate:
         def scalar(position):
             return kinematic_sample(position, geometry).cond
 
-        # closures only, so nothing refers back to the predicate and a sweep
-        # is freed with it
-        self._transmission = transmission
+        # the field holds closures only, so nothing refers back to the
+        # predicate and a sweep is freed with it
+        self._latest = latest
+        self.geometry = geometry
         self.field = ScalarField(scalar, lambda positions: transmission(positions)[1])
         self.cond_max = cond_max
         self.sigma_range = sigma_range
 
-    def batch(self, positions) -> np.ndarray:
-        valid, cond, sigma_min, sigma_max = self._transmission(positions)
+    def _flags(self, valid, cond, sigma_min, sigma_max) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             if self.cond_max is not None:
                 valid = valid & (cond <= self.cond_max)
@@ -398,6 +407,16 @@ class _TransmissionPredicate:
                 lo, hi = self.sigma_range
                 valid = valid & (sigma_min >= lo) & (sigma_max <= hi)
         return valid
+
+    def batch(self, positions) -> np.ndarray:
+        if self._latest and self._latest[0] is positions:
+            return self._flags(*self._latest[1])
+        n = positions.shape[0]
+        flags = np.empty(n, dtype=bool)
+        for start in range(0, n, MASK_BLOCK_ROWS):
+            rows = slice(start, start + MASK_BLOCK_ROWS)
+            flags[rows] = self._flags(*batch_transmission(positions[rows], self.geometry))
+        return flags
 
 
 def transmission_predicate(
@@ -411,8 +430,8 @@ def transmission_predicate(
     Feasible nodes are reachable and satisfy ``cond <= cond_max`` and/or
     ``sigma_range[0] <= sigma_min`` with ``sigma_max <= sigma_range[1]``.
     At least one bound must be given.  The predicate's ``field`` is the
-    condition number; a mask and the field over the same position array
-    share one ``batch_transmission`` sweep.
+    condition number; a mask over the position array the field was last
+    swept on reuses that sweep, and any other mask keeps only its flags.
     """
     if cond_max is None and sigma_range is None:
         raise ValueError("need cond_max, sigma_range, or both")

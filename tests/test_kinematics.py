@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import sample_reachable_points
 from pkmforge.errors import Infeasible, NoConvergence, Singular
 from pkmforge.kinematics import (
+    MASK_BLOCK_ROWS,
     GeometryParams,
     batch_transmission,
     forward_kinematics,
@@ -228,3 +231,34 @@ class TestTransmissionPredicate:
     def test_rejects_a_sigma_range_unless_0_lt_lo_lt_hi(self, symmetric_geometry, sigma_range):
         with pytest.raises(ValueError, match="0 < lo < hi"):
             transmission_predicate(symmetric_geometry, sigma_range=sigma_range)
+
+    @pytest.mark.parametrize("bounds", [(2.0, None), (None, (0.6, 1.8)), (2.0, (0.6, 1.8))])
+    def test_mask_swept_alone_equals_the_thresholded_sweep(self, symmetric_geometry, bounds):
+        # two full blocks and a ragged third one, some rows out of reach
+        points = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2 * MASK_BLOCK_ROWS + 777, 3))
+        cond_max, sigma_range = bounds
+        valid, cond, sigma_min, sigma_max = batch_transmission(points, symmetric_geometry)
+        with np.errstate(invalid="ignore"):
+            if cond_max is not None:
+                valid = valid & (cond <= cond_max)
+            if sigma_range is not None:
+                valid = valid & (sigma_min >= sigma_range[0]) & (sigma_max <= sigma_range[1])
+        assert 0 < valid.sum() < len(points)
+        alone = transmission_predicate(symmetric_geometry, cond_max, sigma_range)
+        assert alone.batch(points).tolist() == valid.tolist()
+        shared = transmission_predicate(symmetric_geometry, cond_max, sigma_range)
+        assert shared.field.batch(points).tobytes() == cond.tobytes()
+        assert shared.batch(points).tolist() == valid.tolist()
+
+    def test_mask_swept_alone_keeps_no_float_outputs(self, symmetric_geometry):
+        points = np.random.default_rng(8).uniform(-0.6, 0.6, size=(32 * MASK_BLOCK_ROWS, 3))
+        predicate = transmission_predicate(symmetric_geometry, cond_max=2.0, sigma_range=(0.6, 1.8))
+        tracemalloc.start()
+        try:
+            flags = predicate.batch(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flags.sum() > 0
+        # a full sweep's cond, sigma_min and sigma_max alone take 24 bytes a node
+        assert peak < 24 * len(points)
