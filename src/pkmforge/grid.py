@@ -235,15 +235,18 @@ def parallel_map(work: Callable, items: Sequence) -> list:
     """``[work(item) for item in items]``, on a thread pool with one worker
     per CPU the process may run on; inline when there is one item or one CPU.
 
-    The package's one parallel loop: the stiffness sweep, the deflection
-    solve, the dynamics fields' per-row algebra (through ``sweep_blocks``)
-    and ``pareto_sweep``'s solves run on it.  Results come back in input
-    order whatever the CPU count, and the first exception raised by an item,
-    in input order, propagates.  ``bench/tracing.py``'s span stack is
-    single-threaded, so a name it wraps may run in a worker only off the
-    bench's paths: the sweeps keep such names (``sym_eigvals_3x3``) in the
-    calling thread, and no bench workload runs ``pareto_sweep``.  numpy
-    releases the GIL in its heavy kernels.
+    The package's one parallel loop: the kinematic transmission sweep, the
+    stiffness sweep, the deflection solve, the dynamics fields' per-row
+    algebra (all through ``sweep_blocks``) and ``pareto_sweep``'s solves run
+    on it.  Results come back in input order whatever the CPU count, and the
+    first exception raised by an item, in input order, propagates.
+    ``bench/tracing.py``'s span stack is single-threaded, so a name it
+    wraps may run in a worker only off the bench's paths.  A block kernel
+    therefore reaches the layers it shares with the calling thread through
+    module-private names bound at import (``kinematics._sym_eigvals_3x3``)
+    or keeps them in the calling thread (the dynamics fields'
+    ``sym_eigvals_3x3``), and no bench workload runs ``pareto_sweep``.
+    numpy releases the GIL in its heavy kernels.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -258,12 +261,13 @@ def parallel_map(work: Callable, items: Sequence) -> list:
         return list(pool.map(work, items))
 
 
-def sweep_blocks(n: int, work: Callable[[slice], None]) -> None:
+def sweep_blocks(n: int, work: Callable[[slice], None], block_rows: Optional[int] = None) -> None:
     """Calls ``work(rows)`` on ``parallel_map`` with a slice per block of
-    ``SWEEP_BLOCK_ROWS`` of ``n`` rows; ``work`` writes its rows' results in
-    place, so no row's result depends on the blocking or the CPU count."""
-    blocks = [slice(start, min(start + SWEEP_BLOCK_ROWS, n)) for start in range(0, n, SWEEP_BLOCK_ROWS)]
-    parallel_map(work, blocks)
+    ``block_rows`` (default ``SWEEP_BLOCK_ROWS``) of ``n`` rows; ``work``
+    writes its rows' results in place, so no row's result depends on the
+    blocking or the CPU count."""
+    size = SWEEP_BLOCK_ROWS if block_rows is None else block_rows
+    parallel_map(work, [slice(start, min(start + size, n)) for start in range(0, n, size)])
 
 
 def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:

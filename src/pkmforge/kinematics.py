@@ -20,19 +20,16 @@ import numpy as np
 
 from ._spectral import sym_eigvals_3x3
 from .errors import Infeasible, NoConvergence, Singular
-from .grid import _ValueSemantics
+from .grid import _ValueSemantics, sweep_blocks
 
 # cyclic index triples (i, j, k) for the three legs
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 DENOMINATOR_EPS = 1e-12
 CONDITION_LIMIT = 1e12
-# rows per batch_transmission block: a block's temporaries stay in cache,
-# and a 33^3 grid (35,937 nodes) is still one block
-TRANSMISSION_BLOCK_ROWS = 1 << 16
-# rows per block of a transmission mask swept alone: a block's temporaries
-# (about 4 MB at this size) are all the memory it needs besides its flags
-MASK_BLOCK_ROWS = 1 << 14
+# rows per batch_transmission block, run on every CPU: a block's temporaries
+# take about 4 MB, which is all a mask swept alone holds besides its flags
+TRANSMISSION_BLOCK_ROWS = 1 << 14
 
 
 def _vec3(value, name: str) -> np.ndarray:
@@ -262,10 +259,15 @@ def batch_rate_matrices(positions: np.ndarray, geometry: GeometryParams):
     has no rate matrix.  ``M`` is a view of a (3, 3, len(rows)) array, so
     each entry's values are contiguous.
     """
+    return _rate_matrices(positions, geometry, batch_inverse_kinematics)
+
+
+def _rate_matrices(positions: np.ndarray, geometry: GeometryParams, ik):
+    """``batch_rate_matrices`` with the inverse kinematics ``ik``."""
     pts = np.asarray(positions, dtype=float)
-    # one transposed copy, shared with batch_inverse_kinematics
+    # one transposed copy, shared with the inverse kinematics
     cols = np.ascontiguousarray(pts.T)
-    reachable, rho = batch_inverse_kinematics(cols.T, geometry)
+    reachable, rho = ik(cols.T, geometry)
     # p_i - rho_i, in the buffer of rho, which is not needed after it
     den = np.subtract(cols, rho.T, out=rho.T)
     kept = reachable
@@ -323,34 +325,44 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return gram.transpose(2, 0, 1)
 
 
+# The transmission blocks run in worker threads, so they reach IK and the
+# 3x3 eigenvalues through these names, bound at import: bench/tracing.py
+# replaces the public ones with spans on a single-threaded stack.
+_batch_inverse_kinematics = batch_inverse_kinematics
+_sym_eigvals_3x3 = sym_eigvals_3x3
+
+
 def batch_transmission(positions: np.ndarray, geometry: GeometryParams):
     """Vectorized velocity transmission factors over (N, 3) positions.
 
     Returns (valid, cond, sigma_min, sigma_max); entries at invalid rows are
     NaN.  The singular values of J are the reciprocals of those of M, so no
     matrix inversion is needed here.  The positions are swept in blocks of
-    ``TRANSMISSION_BLOCK_ROWS``; in each, the Gram ``M^T M``, its
-    eigenvalues and the condition guard are computed elementwise on the
-    rows that ``batch_rate_matrices`` keeps, and the results are scattered
-    back.
+    ``TRANSMISSION_BLOCK_ROWS`` on every CPU (``grid.sweep_blocks``); in
+    each, the Gram ``M^T M``, its eigenvalues and the condition guard are
+    computed elementwise on the rows that the rate matrices keep, and the
+    results are written back in place, so no value depends on the CPU count.
     """
     n = positions.shape[0]
     valid = np.zeros(n, dtype=bool)
     cond, sigma_min, sigma_max = (np.full(n, np.nan) for _ in range(3))
-    for start in range(0, n, TRANSMISSION_BLOCK_ROWS):
-        rows, m = batch_rate_matrices(positions[start : start + TRANSMISSION_BLOCK_ROWS], geometry)
-        vals = sym_eigvals_3x3(_gram(m))
+
+    def block(part):
+        rows, m = _rate_matrices(positions[part], geometry, _batch_inverse_kinematics)
+        vals = _sym_eigvals_3x3(_gram(m))
         lo_m, hi_m = vals[:, 0], vals[:, 2]
         keep = lo_m > 0.0
         ratio = np.divide(hi_m, lo_m, out=np.ones_like(lo_m), where=keep)
         keep &= ratio <= CONDITION_LIMIT**2
-        lo_m, hi_m, rows = lo_m[keep], hi_m[keep], rows[keep] + start
+        lo_m, hi_m, rows = lo_m[keep], hi_m[keep], rows[keep] + part.start
         s_min = np.divide(1.0, np.sqrt(hi_m, out=hi_m), out=hi_m)
         s_max = np.divide(1.0, np.sqrt(lo_m, out=lo_m), out=lo_m)
         valid[rows] = True
         cond[rows] = s_max / s_min
         sigma_min[rows] = s_min
         sigma_max[rows] = s_max
+
+    sweep_blocks(n, block, TRANSMISSION_BLOCK_ROWS)
     return valid, cond, sigma_min, sigma_max
 
 
@@ -411,10 +423,12 @@ class _TransmissionPredicate:
     def batch(self, positions) -> np.ndarray:
         if self._latest and self._latest[0] is positions:
             return self._flags(*self._latest[1])
+        # one block per call, so each runs inline: a thread pool per 33^3
+        # design (three blocks) costs the design synthesis more than it saves
         n = positions.shape[0]
         flags = np.empty(n, dtype=bool)
-        for start in range(0, n, MASK_BLOCK_ROWS):
-            rows = slice(start, start + MASK_BLOCK_ROWS)
+        for start in range(0, n, TRANSMISSION_BLOCK_ROWS):
+            rows = slice(start, start + TRANSMISSION_BLOCK_ROWS)
             flags[rows] = self._flags(*batch_transmission(positions[rows], self.geometry))
         return flags
 

@@ -65,6 +65,8 @@ RUNS = [
     ("default", "stiffness-map --resolution 16", ["stiffness_k_map.csv"]),
     # the config's own grid, 49 nodes a side
     ("default", "stiffness-map", ["stiffness_k_map.csv"]),
+    # several transmission blocks, so the threaded kinematic sweep is pinned
+    ("default", "grid-eval --criterion kinematic", ["kinematic_map.csv", "kinematic_mask.npz"]),
     ("default", "cuboid --criterion kinematic", ["kinematic_cuboid.json"]),
     ("default", "report --resolution 12", ["report.json"]),
     ("default", "report --resolution 8", ["report.json"]),

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_reachable_points
+from conftest import on_cpus, sample_reachable_points
+from pkmforge import _spectral, dynamics, grid, kinematics, stiffness
 from pkmforge.errors import Infeasible, NoConvergence, Singular
 from pkmforge.kinematics import (
-    MASK_BLOCK_ROWS,
+    TRANSMISSION_BLOCK_ROWS,
     GeometryParams,
     batch_transmission,
+    condition_field,
     forward_kinematics,
     inverse_kinematics,
     jacobian,
@@ -235,7 +238,7 @@ class TestTransmissionPredicate:
     @pytest.mark.parametrize("bounds", [(2.0, None), (None, (0.6, 1.8)), (2.0, (0.6, 1.8))])
     def test_mask_swept_alone_equals_the_thresholded_sweep(self, symmetric_geometry, bounds):
         # two full blocks and a ragged third one, some rows out of reach
-        points = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2 * MASK_BLOCK_ROWS + 777, 3))
+        points = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2 * TRANSMISSION_BLOCK_ROWS + 777, 3))
         cond_max, sigma_range = bounds
         valid, cond, sigma_min, sigma_max = batch_transmission(points, symmetric_geometry)
         with np.errstate(invalid="ignore"):
@@ -251,7 +254,7 @@ class TestTransmissionPredicate:
         assert shared.batch(points).tolist() == valid.tolist()
 
     def test_mask_swept_alone_keeps_no_float_outputs(self, symmetric_geometry):
-        points = np.random.default_rng(8).uniform(-0.6, 0.6, size=(32 * MASK_BLOCK_ROWS, 3))
+        points = np.random.default_rng(8).uniform(-0.6, 0.6, size=(32 * TRANSMISSION_BLOCK_ROWS, 3))
         predicate = transmission_predicate(symmetric_geometry, cond_max=2.0, sigma_range=(0.6, 1.8))
         tracemalloc.start()
         try:
@@ -262,3 +265,68 @@ class TestTransmissionPredicate:
         assert flags.sum() > 0
         # a full sweep's cond, sigma_min and sigma_max alone take 24 bytes a node
         assert peak < 24 * len(points)
+
+
+class TestThreadedSweep:
+    """``batch_transmission`` runs its blocks on every CPU."""
+
+    @staticmethod
+    def points():
+        # two full blocks and a ragged third one, some rows out of reach
+        return np.random.default_rng(9).uniform(-0.9, 0.9, size=(2 * TRANSMISSION_BLOCK_ROWS + 777, 3))
+
+    def test_bytes_independent_of_the_cpu_count(self, monkeypatch, symmetric_geometry):
+        points = self.points()
+        all_cpus = batch_transmission(points, symmetric_geometry)
+        assert 0 < all_cpus[0].sum() < len(points)
+        for cpus in (1, 3):
+            on_cpus(monkeypatch, cpus)
+            for actual, expected in zip(batch_transmission(points, symmetric_geometry), all_cpus):
+                assert actual.tobytes() == expected.tobytes()
+
+    def test_type_error_in_one_block_propagates(self, monkeypatch, symmetric_geometry):
+        on_cpus(monkeypatch, 2)
+        gram = kinematics._gram
+
+        def planted(m):
+            if threading.current_thread() is not threading.main_thread():
+                raise TypeError("planted in a block")
+            return gram(m)
+
+        monkeypatch.setattr(kinematics, "_gram", planted)
+        with pytest.raises(TypeError, match="planted in a block"):
+            condition_field(symmetric_geometry).batch(self.points())
+
+    def test_no_traced_name_runs_in_a_worker(self, monkeypatch, symmetric_geometry):
+        # bench/tracing.py's CallSites replaces these names with spans on one
+        # stack, so none of them may run in a worker thread
+        traced = [
+            (kinematics, "batch_inverse_kinematics"),
+            (kinematics, "batch_rate_matrices"),
+            (kinematics, "batch_transmission"),
+            (kinematics, "sym_eigvals_3x3"),
+            (_spectral, "sym_eigvals_3x3"),
+            (dynamics, "batch_rate_matrices"),
+            (dynamics, "sym_eigvals_3x3"),
+            (stiffness, "batch_inverse_kinematics"),
+            (stiffness.OrthoglideStiffnessModel, "batch_cartesian_stiffness"),
+            (stiffness.OrthoglideStiffnessModel, "batch_deflection"),
+            (grid.ScalarField, "batch"),
+            (kinematics, "_gram"),  # the block kernel, which must run in workers
+        ]
+        threads = {}
+
+        def recorder(name, fn):
+            def recorded(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        for owner, attr in traced:
+            monkeypatch.setattr(owner, attr, recorder(f"{owner.__name__.rpartition('.')[2]}.{attr}", getattr(owner, attr)))
+        on_cpus(monkeypatch, 3)
+        condition_field(symmetric_geometry).batch(self.points())
+        main = {threading.main_thread()}
+        assert threads.pop("kinematics._gram") - main
+        assert threads == {"kinematics.batch_transmission": main, "ScalarField.batch": main}
