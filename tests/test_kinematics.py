@@ -324,7 +324,8 @@ class TestThreadedSweep:
             return recorded
 
         for owner, attr in traced:
-            monkeypatch.setattr(owner, attr, recorder(f"{owner.__name__.rpartition('.')[2]}.{attr}", getattr(owner, attr)))
+            name = f"{owner.__name__.rpartition('.')[2]}.{attr}"
+            monkeypatch.setattr(owner, attr, recorder(name, getattr(owner, attr)))
         on_cpus(monkeypatch, 3)
         condition_field(symmetric_geometry).batch(self.points())
         main = {threading.main_thread()}
