@@ -20,7 +20,9 @@ search.
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -110,10 +112,17 @@ class GridSpec(_ValueSemantics):
         """
         return self._node_positions
 
+    def _axes(self) -> list[np.ndarray]:
+        """The node coordinates along each axis."""
+        return [self.origin[a] + self.steps[a] * np.arange(self.dims[a]) for a in range(3)]
+
+    def _built_node_positions(self) -> Optional[np.ndarray]:
+        """``node_positions()`` if a caller has built it, else None; never builds it."""
+        return self.__dict__.get("_node_positions")
+
     @cached_property
     def _node_positions(self) -> np.ndarray:
-        axes = [self.origin[a] + self.steps[a] * np.arange(self.dims[a]) for a in range(3)]
-        xs, ys, zs = np.meshgrid(*axes, indexing="ij")
+        xs, ys, zs = np.meshgrid(*self._axes(), indexing="ij")
         positions = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
         positions.setflags(write=False)
         return positions
@@ -231,15 +240,27 @@ class ThresholdPredicate:
             return values >= self.bound
 
 
-def parallel_map(work: Callable, items: Sequence) -> list:
-    """``[work(item) for item in items]``, on a thread pool with one worker
-    per CPU the process may run on; inline when there is one item or one CPU.
+# set in a thread while it runs an item of a parallel_map
+_in_item = threading.local()
 
-    The package's one parallel loop: the kinematic transmission sweep, the
-    stiffness sweep, the deflection solve, the dynamics fields' per-row
-    algebra (all through ``sweep_blocks``) and ``pareto_sweep``'s solves run
-    on it.  Results come back in input order whatever the CPU count, and the
-    first exception raised by an item, in input order, propagates.
+
+def parallel_map(work: Callable, items: Sequence) -> list:
+    """``[work(item) for item in items]``, on every CPU the process may run on.
+
+    On N CPUs the calling thread and N - 1 new threads pull item indices
+    from one shared counter, so the caller takes a share.  It runs inline
+    when there is one item or one CPU, and when it is called while an item
+    of another ``parallel_map`` runs in the same thread (a thread-local
+    flag), so nested loops keep one thread per CPU.  Results come back in
+    input order whatever the CPU count.  Once an item raises, no further
+    item starts, and the first exception in input order propagates.
+
+    The package's one parallel loop: the kinematic transmission sweeps
+    (``sweep_blocks``, and ``sweep_grid`` for masks), the stiffness sweep,
+    the deflection solve, the dynamics fields' per-row algebra and
+    ``pareto_sweep``'s solves run on it.  Each thread's glibc arena keeps
+    the peak of its items' temporaries after a loop, where no other thread
+    reuses it, so the caller's share also saves one arena.
     ``bench/tracing.py``'s span stack is single-threaded, so a name it
     wraps may run in a worker only off the bench's paths.  A block kernel
     therefore reaches the layers it shares with the calling thread through
@@ -252,34 +273,88 @@ def parallel_map(work: Callable, items: Sequence) -> list:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    workers = min(cpus, len(items))
-    if workers <= 1:
+    threads = min(cpus, len(items))
+    if threads <= 1 or getattr(_in_item, "active", False):
         return [work(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
+    results = [None] * len(items)
+    errors = {}
+    indices = itertools.count()  # shared; each next() is atomic under the GIL
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, items))
+    def pull():
+        _in_item.active = True
+        try:
+            for index in indices:
+                if index >= len(items) or errors:
+                    return
+                try:
+                    results[index] = work(items[index])
+                except BaseException as exc:  # re-raised below, the first in input order
+                    errors[index] = exc
+        finally:
+            _in_item.active = False
+
+    helpers = [threading.Thread(target=pull) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    pull()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def sweep_blocks(n: int, work: Callable[[slice], None], block_rows: Optional[int] = None) -> None:
     """Calls ``work(rows)`` on ``parallel_map`` with a slice per block of
     ``block_rows`` (default ``SWEEP_BLOCK_ROWS``) of ``n`` rows; ``work``
     writes its rows' results in place, so no row's result depends on the
-    blocking or the CPU count."""
+    blocking or the CPU count.  The stiffness and dynamics sweeps and the
+    transmission sweeps over given positions run on it."""
     size = SWEEP_BLOCK_ROWS if block_rows is None else block_rows
     parallel_map(work, [slice(start, min(start + size, n)) for start in range(0, n, size)])
+
+
+def sweep_grid(spec: GridSpec, work: Callable[[slice, np.ndarray], None], block_rows: int) -> None:
+    """Calls ``work(rows, positions)`` on ``sweep_blocks`` for each block of
+    whole k-lines of the grid, ``block_rows // dims[2]`` lines (at least
+    one) a block.
+
+    ``rows`` is the block's slice of the nodes in C order, and
+    ``positions`` their (n, 3) coordinates: a view of a C-contiguous
+    (3, n) array filled from the three axes, equal to
+    ``spec.node_positions()[rows]`` bit for bit, so no (N, 3) array is
+    built.  ``work`` writes its rows' results in place.
+    """
+    ni, nj, nk = spec.dims
+    xs, ys, zs = spec._axes()
+    # the x and y coordinates of each k-line, in C order
+    line_x, line_y = np.repeat(xs, nj), np.tile(ys, ni)
+
+    def block(lines: slice) -> None:
+        cols = np.empty((3, lines.stop - lines.start, nk))
+        cols[0] = line_x[lines, None]
+        cols[1] = line_y[lines, None]
+        cols[2] = zs
+        work(slice(lines.start * nk, lines.stop * nk), cols.reshape(3, -1).T)
+
+    sweep_blocks(ni * nj, block, max(1, block_rows // nk))
 
 
 def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
     """Evaluate a node predicate over every grid node in one sweep.
 
-    The predicate's ``batch`` method takes the (N, 3) node positions and
-    must return one flag per node; whatever it raises propagates.
+    A predicate with a ``mask(spec)`` method returns the flags of the
+    grid's nodes in C order without their positions array (the
+    transmission predicates, on ``sweep_grid``); any other predicate's
+    ``batch`` method takes the (N, 3) node positions.  Either must return
+    one flag per node; whatever it raises propagates.
     """
-    positions = spec.node_positions()
-    flags = np.asarray(predicate.batch(positions), dtype=bool)
-    if flags.shape != (positions.shape[0],):
-        raise ValueError(f"predicate batch returned shape {flags.shape} for {positions.shape[0]} nodes")
+    mask = getattr(predicate, "mask", None)
+    flags = mask(spec) if mask is not None else predicate.batch(spec.node_positions())
+    flags = np.asarray(flags, dtype=bool)
+    count = spec.dims[0] * spec.dims[1] * spec.dims[2]
+    if flags.shape != (count,):
+        raise ValueError(f"predicate returned shape {flags.shape} for {count} nodes")
     return FeasibilityMask(flags.reshape(spec.dims))
 
 

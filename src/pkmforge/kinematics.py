@@ -20,16 +20,16 @@ import numpy as np
 
 from ._spectral import sym_eigvals_3x3
 from .errors import Infeasible, NoConvergence, Singular
-from .grid import _ValueSemantics, sweep_blocks
+from .grid import _ValueSemantics, sweep_blocks, sweep_grid
 
 # cyclic index triples (i, j, k) for the three legs
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 DENOMINATOR_EPS = 1e-12
 CONDITION_LIMIT = 1e12
-# rows per batch_transmission block, run on every CPU: a block's temporaries
-# take about 4 MB, which is all a mask swept alone holds besides its flags
-TRANSMISSION_BLOCK_ROWS = 1 << 14
+# rows per transmission sweep block, run on every CPU: a block's temporaries
+# peak at about 170 bytes a row (11 MB), all a mask holds besides its flags
+TRANSMISSION_BLOCK_ROWS = 1 << 16
 
 
 def _vec3(value, name: str) -> np.ndarray:
@@ -332,31 +332,48 @@ _batch_inverse_kinematics = batch_inverse_kinematics
 _sym_eigvals_3x3 = sym_eigvals_3x3
 
 
+def _transmission_rows(positions: np.ndarray, geometry: GeometryParams):
+    """The block kernel of every transmission sweep: (rows, sigma_min,
+    sigma_max) of the positions that are reachable, pass the denominator
+    guard and whose condition number is at most ``CONDITION_LIMIT``.
+
+    ``rows`` holds their indices, ascending.  The singular values of J are
+    the reciprocals of those of M, so no matrix inversion is needed; the
+    Gram ``M^T M``, its eigenvalues and the guard are computed elementwise
+    on the kept rows only, and ``M`` and the Gram are freed as soon as they
+    have been used, so a block holds little more than its kept rows.
+    """
+    rows, m = _rate_matrices(positions, geometry, _batch_inverse_kinematics)
+    gram = _gram(m)
+    del m
+    vals = _sym_eigvals_3x3(gram)
+    del gram
+    lo_m, hi_m = vals[:, 0], vals[:, 2]
+    keep = lo_m > 0.0
+    ratio = np.divide(hi_m, lo_m, out=np.ones_like(lo_m), where=keep)
+    keep &= ratio <= CONDITION_LIMIT**2
+    lo_m, hi_m, rows = lo_m[keep], hi_m[keep], rows[keep]
+    sigma_min = np.divide(1.0, np.sqrt(hi_m, out=hi_m), out=hi_m)
+    sigma_max = np.divide(1.0, np.sqrt(lo_m, out=lo_m), out=lo_m)
+    return rows, sigma_min, sigma_max
+
+
 def batch_transmission(positions: np.ndarray, geometry: GeometryParams):
     """Vectorized velocity transmission factors over (N, 3) positions.
 
     Returns (valid, cond, sigma_min, sigma_max); entries at invalid rows are
-    NaN.  The singular values of J are the reciprocals of those of M, so no
-    matrix inversion is needed here.  The positions are swept in blocks of
-    ``TRANSMISSION_BLOCK_ROWS`` on every CPU (``grid.sweep_blocks``); in
-    each, the Gram ``M^T M``, its eigenvalues and the condition guard are
-    computed elementwise on the rows that the rate matrices keep, and the
-    results are written back in place, so no value depends on the CPU count.
+    NaN.  The positions are swept in blocks of ``TRANSMISSION_BLOCK_ROWS``
+    on every CPU (``grid.sweep_blocks``), each through the block kernel
+    ``_transmission_rows``, and each block writes its kept rows in place, so
+    no value depends on the blocking or the CPU count.
     """
     n = positions.shape[0]
     valid = np.zeros(n, dtype=bool)
     cond, sigma_min, sigma_max = (np.full(n, np.nan) for _ in range(3))
 
     def block(part):
-        rows, m = _rate_matrices(positions[part], geometry, _batch_inverse_kinematics)
-        vals = _sym_eigvals_3x3(_gram(m))
-        lo_m, hi_m = vals[:, 0], vals[:, 2]
-        keep = lo_m > 0.0
-        ratio = np.divide(hi_m, lo_m, out=np.ones_like(lo_m), where=keep)
-        keep &= ratio <= CONDITION_LIMIT**2
-        lo_m, hi_m, rows = lo_m[keep], hi_m[keep], rows[keep] + part.start
-        s_min = np.divide(1.0, np.sqrt(hi_m, out=hi_m), out=hi_m)
-        s_max = np.divide(1.0, np.sqrt(lo_m, out=lo_m), out=lo_m)
+        rows, s_min, s_max = _transmission_rows(positions[part], geometry)
+        rows += part.start
         valid[rows] = True
         cond[rows] = s_max / s_min
         sigma_min[rows] = s_min
@@ -367,14 +384,25 @@ def batch_transmission(positions: np.ndarray, geometry: GeometryParams):
 
 
 def condition_field(geometry: GeometryParams):
-    """Grid field of the Jacobian condition number (NaN when unreachable)."""
+    """Grid field of the Jacobian condition number (NaN when unreachable).
+
+    Its sweep writes the condition number alone: the blocks of
+    ``batch_transmission``, without its ``valid`` and singular value
+    outputs.
+    """
     from .grid import ScalarField
 
     def scalar(position):
         return kinematic_sample(position, geometry).cond
 
     def batch(positions):
-        _, cond, _, _ = batch_transmission(positions, geometry)
+        cond = np.full(positions.shape[0], np.nan)
+
+        def block(part):
+            rows, s_min, s_max = _transmission_rows(positions[part], geometry)
+            cond[rows + part.start] = s_max / s_min
+
+        sweep_blocks(positions.shape[0], block, TRANSMISSION_BLOCK_ROWS)
         return cond
 
     return ScalarField(scalar, batch)
@@ -384,10 +412,13 @@ class _TransmissionPredicate:
     """Conditioning predicate with a condition-number ``field``.
 
     The field keeps the ``batch_transmission`` sweep of the latest position
-    array it was asked for, and a mask over that same array thresholds the
-    kept sweep, so the two share one sweep.  Any other mask is swept block by
-    block and keeps only its flags: the float outputs of a full sweep take 24
-    bytes per node (51 MB on a 129^3 grid), a mask one byte.
+    array it was asked for, and a mask over that same array (or over the
+    grid whose ``node_positions()`` it is) thresholds the kept sweep, so the
+    two share one sweep.  Any other mask is swept block by block on every
+    CPU and keeps only its flags: the float outputs of a full sweep take 24
+    bytes per node (51 MB on a 129^3 grid), a mask one byte.  ``mask(spec)``
+    sweeps the grid on ``grid.sweep_grid``, so it builds no (N, 3)
+    positions array either.
     """
 
     def __init__(self, geometry: GeometryParams, cond_max, sigma_range):
@@ -411,25 +442,45 @@ class _TransmissionPredicate:
         self.cond_max = cond_max
         self.sigma_range = sigma_range
 
-    def _flags(self, valid, cond, sigma_min, sigma_max) -> np.ndarray:
+    def _passes(self, cond, sigma_min, sigma_max) -> np.ndarray:
+        """The bounds' flags; NaN values (unreachable rows) fail every bound."""
         with np.errstate(invalid="ignore"):
-            if self.cond_max is not None:
-                valid = valid & (cond <= self.cond_max)
+            flags = cond <= self.cond_max if self.cond_max is not None else None
             if self.sigma_range is not None:
                 lo, hi = self.sigma_range
-                valid = valid & (sigma_min >= lo) & (sigma_max <= hi)
-        return valid
+                in_range = (sigma_min >= lo) & (sigma_max <= hi)
+                flags = in_range if flags is None else flags & in_range
+        return flags
+
+    def _kept(self, positions):
+        """The thresholded kept sweep of ``positions``, or None."""
+        if positions is None or not self._latest or self._latest[0] is not positions:
+            return None
+        _, cond, sigma_min, sigma_max = self._latest[1]
+        return self._passes(cond, sigma_min, sigma_max)
+
+    def _flags_writer(self, flags: np.ndarray):
+        """A block writer that sets the flags of its passing rows."""
+
+        def block(part: slice, positions: np.ndarray) -> None:
+            rows, s_min, s_max = _transmission_rows(positions, self.geometry)
+            flags[rows[self._passes(s_max / s_min, s_min, s_max)] + part.start] = True
+
+        return block
 
     def batch(self, positions) -> np.ndarray:
-        if self._latest and self._latest[0] is positions:
-            return self._flags(*self._latest[1])
-        # one block per call, so each runs inline: a thread pool per 33^3
-        # design (three blocks) costs the design synthesis more than it saves
-        n = positions.shape[0]
-        flags = np.empty(n, dtype=bool)
-        for start in range(0, n, TRANSMISSION_BLOCK_ROWS):
-            rows = slice(start, start + TRANSMISSION_BLOCK_ROWS)
-            flags[rows] = self._flags(*batch_transmission(positions[rows], self.geometry))
+        flags = self._kept(positions)
+        if flags is None:
+            flags = np.zeros(positions.shape[0], dtype=bool)
+            write = self._flags_writer(flags)
+            sweep_blocks(flags.size, lambda part: write(part, positions[part]), TRANSMISSION_BLOCK_ROWS)
+        return flags
+
+    def mask(self, spec) -> np.ndarray:
+        flags = self._kept(spec._built_node_positions())
+        if flags is None:
+            flags = np.zeros(spec.dims[0] * spec.dims[1] * spec.dims[2], dtype=bool)
+            sweep_grid(spec, self._flags_writer(flags), TRANSMISSION_BLOCK_ROWS)
         return flags
 
 
@@ -438,14 +489,15 @@ def transmission_predicate(
     cond_max: float | None = None,
     sigma_range: tuple[float, float] | None = None,
 ):
-    """Grid predicate for conditioning specs; its ``batch`` test takes (N, 3)
-    positions, as ``evaluate_mask`` expects.
+    """Grid predicate for conditioning specs.  ``evaluate_mask`` asks its
+    ``mask(spec)`` for the flags of a grid; its ``batch`` test takes (N, 3)
+    positions.
 
     Feasible nodes are reachable and satisfy ``cond <= cond_max`` and/or
     ``sigma_range[0] <= sigma_min`` with ``sigma_max <= sigma_range[1]``.
     At least one bound must be given.  The predicate's ``field`` is the
-    condition number; a mask over the position array the field was last
-    swept on reuses that sweep, and any other mask keeps only its flags.
+    condition number; a mask over the positions the field was last swept
+    on reuses that sweep, and any other mask keeps only its flags.
     """
     if cond_max is None and sigma_range is None:
         raise ValueError("need cond_max, sigma_range, or both")

@@ -330,15 +330,39 @@ class TestGridEval:
     def test_kinematic_map_sweeps_transmission_once(self, tmp_path, monkeypatch, sigma_range):
         config = small_config()
         config["kinematic"]["sigma_range"] = sigma_range
-        calls = count_calls(monkeypatch, kinematics, "batch_transmission")
+        blocks = kernel_blocks(monkeypatch)
         code, out = cli(tmp_path, config, "grid-eval", "--criterion", "kinematic")
         assert code == 0
-        assert len(calls) == 1
+        assert_each_node_once(blocks, config)
         monkeypatch.undo()
         spec = build_grid(validate_config(config))
         values = kinematics.condition_field(build_geometry(validate_config(config))).batch(spec.node_positions())
         column = [line.split(",")[3] for line in (out / "kinematic_map.csv").read_text().splitlines()[1:]]
         assert column == [f"{value:.17g}" for value in values]
+
+
+def kernel_blocks(monkeypatch):
+    """Record the positions of every block that the transmission block kernel
+    sweeps, in blocks of 500 rows, so a 13^3 grid takes several."""
+    monkeypatch.setattr(kinematics, "TRANSMISSION_BLOCK_ROWS", 500)
+    kernel = kinematics._transmission_rows
+    blocks = []
+
+    def recorded(positions, geometry):
+        blocks.append(np.array(positions))
+        return kernel(positions, geometry)
+
+    monkeypatch.setattr(kinematics, "_transmission_rows", recorded)
+    return blocks
+
+
+def assert_each_node_once(blocks, config):
+    """The blocks swept every node of the config's grid exactly once."""
+    nodes = build_grid(validate_config(config)).node_positions()
+    assert len(blocks) > 1
+    swept = np.concatenate(blocks)
+    assert swept.shape == nodes.shape
+    assert np.array_equal(np.unique(swept, axis=0), np.unique(nodes, axis=0))
 
 
 def count_calls(monkeypatch, owner, name):
@@ -356,10 +380,10 @@ def count_calls(monkeypatch, owner, name):
 
 class TestCuboid:
     def test_kinematic_cuboid_sweeps_transmission_once(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, kinematics, "batch_transmission")
+        blocks = kernel_blocks(monkeypatch)
         code, _ = cli(tmp_path, small_config(), "cuboid", "--criterion", "kinematic")
         assert code == 0
-        assert len(calls) == 1
+        assert_each_node_once(blocks, small_config())
 
     def test_zero_deflection_limit_yields_empty_result(self, tmp_path):
         config = small_config()

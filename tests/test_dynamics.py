@@ -366,7 +366,7 @@ class TestBlockedFields:
             threads.clear()
             with pytest.raises(TypeError, match="broken block"):
                 field.batch(points)
-            assert threads and threading.main_thread() not in threads, name
+            assert len(threads) >= 2, name  # the caller and a worker thread each ran blocks
 
 
 class TestPredicates:

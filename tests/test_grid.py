@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import on_cpus
 from pkmforge.errors import DimensionMismatch, Infeasible, TooLarge
 from pkmforge.grid import (
     CuboidResult,
@@ -22,7 +25,9 @@ from pkmforge.grid import (
     largest_cuboid,
     load_mask,
     nested_cuboids,
+    parallel_map,
     save_mask,
+    sweep_grid,
 )
 
 
@@ -209,6 +214,111 @@ class TestGridSpec:
         vector[1] = bad
         with pytest.raises(ValueError, match="finite"):
             make_spec((4, 4, 4), **{field: vector})
+
+
+class TestSweepGrid:
+    """``sweep_grid`` builds each block's positions from the axes."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=80)
+    @given(
+        dims=st.tuples(*[st.integers(2, 40)] * 3),
+        origin=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+        proportions=st.tuples(*[st.floats(0.01, 10.0)] * 3),
+        resolution=st.integers(1, 64),
+        block_rows=st.integers(1, 5000),
+    )
+    # a block smaller than one k-line, so each block is one whole line
+    @example(dims=(3, 4, 40), origin=(-0.5, 0.25, 1.0), proportions=(1.0, 0.7, 0.3), resolution=7, block_rows=39)
+    # 35 lines in blocks of 2, so the last block holds one line
+    @example(dims=(5, 7, 9), origin=(0.1, -0.2, 0.3), proportions=(0.9, 1.1, 1.3), resolution=8, block_rows=20)
+    def test_block_positions_equal_node_positions(self, dims, origin, proportions, resolution, block_rows):
+        spec = make_spec(dims, resolution=resolution, proportions=proportions, origin=origin)
+        blocks = []
+
+        def record(rows, positions):
+            assert positions.T.flags.c_contiguous
+            blocks.append((rows, positions.copy()))
+
+        sweep_grid(spec, record, block_rows)
+        assert spec._built_node_positions() is None
+        nodes = spec.node_positions()
+        blocks.sort(key=lambda block: block[0].start)
+        starts = [rows.start for rows, _ in blocks]
+        stops = [rows.stop for rows, _ in blocks]
+        assert starts == [0] + stops[:-1] and stops[-1] == len(nodes)
+        lines = max(1, block_rows // dims[2]) * dims[2]
+        assert all(stop - start == lines for start, stop in zip(starts[:-1], stops[:-1]))
+        assert 0 < stops[-1] - starts[-1] <= lines
+        for rows, positions in blocks:
+            assert positions.shape == (rows.stop - rows.start, 3)
+            assert positions.tobytes() == nodes[rows].tobytes()
+
+
+class TestParallelMap:
+    def test_each_item_runs_once_and_results_keep_input_order(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows
+        on_cpus(monkeypatch, 8)
+        runs = []
+
+        def item(x):
+            runs.append(x)
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            results = parallel_map(item, list(range(500)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - started < 60.0
+        assert results == [x * x for x in range(500)]
+        assert sorted(runs) == list(range(500))
+
+    @staticmethod
+    def thread_of_concurrent_items():
+        """An item function that returns its thread once two items run at once."""
+        barrier = threading.Barrier(2, timeout=30)
+
+        def item(_):
+            barrier.wait()
+            return threading.current_thread()
+
+        return item
+
+    def test_the_caller_takes_a_share(self, monkeypatch):
+        on_cpus(monkeypatch, 2)
+        threads = parallel_map(self.thread_of_concurrent_items(), [0, 1])
+        assert threading.main_thread() in threads and len(set(threads)) == 2
+
+    def test_first_exception_in_input_order_propagates(self, monkeypatch):
+        on_cpus(monkeypatch, 2)
+        started = []
+
+        def item(x):
+            started.append(x)
+            if x == 2:
+                time.sleep(0.05)
+                raise ValueError("item 2")
+            if x == 5:
+                raise TypeError("item 5")
+            return x
+
+        with pytest.raises(ValueError, match="item 2"):
+            parallel_map(item, list(range(40)))
+        assert set(range(6)) <= set(started) and len(started) < 40  # no item starts after a failure
+
+    def test_a_call_inside_an_item_runs_inline(self, monkeypatch):
+        on_cpus(monkeypatch, 2)
+
+        def item(_):
+            inner = parallel_map(lambda _: threading.current_thread(), list(range(8)))
+            return threading.current_thread(), set(inner)
+
+        for outer, inner in parallel_map(item, list(range(4))):
+            assert inner == {outer}
+        # the caller's flag is cleared once its items have run
+        assert len(set(parallel_map(self.thread_of_concurrent_items(), [0, 1]))) == 2
 
 
 class TestEvaluateMask:

@@ -267,6 +267,20 @@ class TestTransmissionPredicate:
         assert peak < 24 * len(points)
 
 
+    def test_block_kernel_frees_the_rate_matrices_before_the_eigenvalues(self, symmetric_geometry):
+        # a block of reachable rows, as (3, N) columns, as the sweeps pass them
+        points = np.random.default_rng(8).uniform(-0.45, 0.45, size=(3, TRANSMISSION_BLOCK_ROWS)).T
+        tracemalloc.start()
+        try:
+            rows, _, _ = kinematics._transmission_rows(points, symmetric_geometry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size == len(points)
+        # about 170 bytes a row; the rate matrices kept alive with the Gram
+        # and the eigenvalue buffers would add their 72 bytes a row
+        assert peak < 200 * len(points)
+
 class TestThreadedSweep:
     """``batch_transmission`` runs its blocks on every CPU."""
 
@@ -312,7 +326,8 @@ class TestThreadedSweep:
             (stiffness.OrthoglideStiffnessModel, "batch_cartesian_stiffness"),
             (stiffness.OrthoglideStiffnessModel, "batch_deflection"),
             (grid.ScalarField, "batch"),
-            (kinematics, "_gram"),  # the block kernel, which must run in workers
+            (grid, "evaluate_mask"),
+            (kinematics, "_transmission_rows"),  # the block kernel, which must run in workers
         ]
         threads = {}
 
@@ -327,7 +342,72 @@ class TestThreadedSweep:
             name = f"{owner.__name__.rpartition('.')[2]}.{attr}"
             monkeypatch.setattr(owner, attr, recorder(name, getattr(owner, attr)))
         on_cpus(monkeypatch, 3)
-        condition_field(symmetric_geometry).batch(self.points())
+        points = self.points()
+        spec = mask_spec()
+
+        def predicate():
+            return transmission_predicate(symmetric_geometry, cond_max=2.0, sigma_range=(0.6, 1.8))
+
+        # each sweep takes at least three blocks
+        sweeps = {
+            "condition field": (lambda: condition_field(symmetric_geometry).batch(points), {"ScalarField.batch"}),
+            "full sweep": (lambda: kinematics.batch_transmission(points, symmetric_geometry), {"kinematics.batch_transmission"}),
+            "mask over positions": (lambda: predicate().batch(points), set()),
+            "mask over a grid": (lambda: grid.evaluate_mask(spec, predicate()), {"grid.evaluate_mask"}),
+        }
         main = {threading.main_thread()}
-        assert threads.pop("kinematics._gram") - main
-        assert threads == {"kinematics.batch_transmission": main, "ScalarField.batch": main}
+        for label, (sweep, entry_points) in sweeps.items():
+            threads.clear()
+            sweep()
+            assert threads.pop("kinematics._transmission_rows") - main, label
+            assert threads == {name: main for name in entry_points}, label
+
+
+def mask_spec():
+    """A 70 x 53 x 61 grid around the symmetric geometry's workspace: four
+    transmission blocks of whole k-lines, the last one ragged."""
+    return grid.GridSpec(origin=(-0.9, -0.8, -0.85), proportions=(1.8, 1.6, 1.7), resolution=60, dims=(70, 53, 61))
+
+
+class TestGridMask:
+    """``evaluate_mask`` sweeps a transmission predicate's grid block by
+    block, from the axes, and keeps only its flags."""
+
+    @pytest.mark.parametrize("cpus", [None, 1])
+    @pytest.mark.parametrize("bounds", [(2.0, None), (None, (0.6, 1.8)), (2.0, (0.6, 1.8))])
+    def test_flags_equal_the_thresholded_sweep(self, monkeypatch, symmetric_geometry, bounds, cpus):
+        if cpus is not None:
+            on_cpus(monkeypatch, cpus)
+        cond_max, sigma_range = bounds
+        spec = mask_spec()
+        lines = spec.dims[0] * spec.dims[1]
+        assert lines > 3 * (TRANSMISSION_BLOCK_ROWS // spec.dims[2])
+        flags = grid.evaluate_mask(spec, transmission_predicate(symmetric_geometry, cond_max, sigma_range))
+        assert spec._built_node_positions() is None  # no (N, 3) positions array was built
+        valid, cond, sigma_min, sigma_max = batch_transmission(spec.node_positions(), symmetric_geometry)
+        with np.errstate(invalid="ignore"):
+            if cond_max is not None:
+                valid = valid & (cond <= cond_max)
+            if sigma_range is not None:
+                valid = valid & (sigma_min >= sigma_range[0]) & (sigma_max <= sigma_range[1])
+        assert 0 < valid.sum() < valid.size
+        assert flags.data.ravel().tobytes() == valid.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_type_error_in_one_block_propagates(self, monkeypatch, symmetric_geometry, cpus):
+        on_cpus(monkeypatch, cpus)
+        spec = mask_spec()
+        kernel = kinematics._transmission_rows
+        ragged = spec.dims[0] * spec.dims[1] % (TRANSMISSION_BLOCK_ROWS // spec.dims[2]) * spec.dims[2]
+        blocks = []
+
+        def planted(positions, geometry):
+            blocks.append(positions.shape[0])
+            if positions.shape[0] == ragged:
+                raise TypeError("planted in the last block")
+            return kernel(positions, geometry)
+
+        monkeypatch.setattr(kinematics, "_transmission_rows", planted)
+        with pytest.raises(TypeError, match="planted in the last block"):
+            grid.evaluate_mask(spec, transmission_predicate(symmetric_geometry, cond_max=2.0))
+        assert ragged in blocks and len(blocks) == 4

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import on_cpus
-from pkmforge import optimize
+from pkmforge import kinematics, optimize
 from pkmforge.errors import Infeasible
 from pkmforge.grid import GridSpec
 from pkmforge.optimize import (
@@ -366,7 +366,7 @@ class TestParetoSweep:
             serial, serial_threads = self.solved_on(monkeypatch, 1, problem, weights, starts, budget)
             threaded, threads = self.solved_on(monkeypatch, 2, problem, weights, starts, budget)
             assert serial_threads == {threading.main_thread()}
-            assert threads and threading.main_thread() not in threads
+            assert len(threads) >= 2  # the caller and a worker thread each ran solves
             assert len(serial.points) >= 2
             assert threaded.points == serial.points
             assert threaded.failures == serial.failures == []
@@ -385,8 +385,30 @@ class TestParetoSweep:
         finally:
             sys.setswitchinterval(interval)
         assert time.perf_counter() - started < 60.0
-        assert len(threads) > 1 and threading.main_thread() not in threads
+        assert len(threads) >= 2
         assert stressed.points == serial.points
+
+    def test_mask_sweeps_inside_solves_run_inline(self, monkeypatch):
+        # a mask's block loop inside a solve runs in that solve's thread, so
+        # the sweep keeps one thread per CPU
+        problem = orthoglide_geometry_problem((1.0, 1.0, 0.8), (0.5, 2.0), resolution=8)
+        weights = [np.array([1.0, 1.0, 0.8]), np.array([0.8, 1.0, 1.0])]
+        starts = starts_for(problem, 2)
+        monkeypatch.setattr(kinematics, "TRANSMISSION_BLOCK_ROWS", 64)  # several blocks per mask
+        kernel = kinematics._transmission_rows
+        threads = set()
+
+        def recorded(positions, geometry):
+            threads.add(threading.current_thread())
+            return kernel(positions, geometry)
+
+        monkeypatch.setattr(kinematics, "_transmission_rows", recorded)
+        serial, _ = self.solved_on(monkeypatch, 1, problem, weights, starts, 40)
+        threads.clear()
+        threaded, _ = self.solved_on(monkeypatch, 2, problem, weights, starts, 40)
+        assert len(serial.points) >= 2
+        assert threaded.points == serial.points
+        assert len(threads) <= 2
 
     def test_failures_recorded_and_sweep_continues(self):
         problem = GoalProblem(

@@ -375,7 +375,7 @@ class TestBlockedSweep:
         monkeypatch.setattr(OrthoglideStiffnessModel, "_leg_jacobians", broken_short_block)
         with pytest.raises(TypeError, match="broken block"):
             self.sweep(points)
-        assert threading.main_thread() not in threads
+        assert len(threads) >= 2  # the caller and a worker thread each ran blocks
 
     def test_stiffness_is_zero_exactly_where_invalid(self, points, monkeypatch):
         on_cpus(monkeypatch, 2)
