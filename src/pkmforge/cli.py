@@ -33,7 +33,7 @@ from .config import (
 )
 from .dynamics import acceleration_predicate, gie_predicate
 from .errors import Infeasible, PkmforgeError
-from .grid import evaluate_mask, largest_cuboid, save_mask
+from .grid import FeasibilityMask, evaluate_mask, largest_cuboid, save_mask
 from .kinematics import transmission_predicate
 from .optimize import (
     analytic_preset,
@@ -70,7 +70,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 @config_builder
 def _criterion(config: dict, name: str):
-    """Feasibility predicate of a named criterion; its value field is ``predicate.field``."""
+    """Feasibility predicate of a named criterion: ``evaluate_mask`` takes its mask, and its
+    ``map(positions)`` gives the criterion's values and flags from one sweep."""
     geometry = build_geometry(config)
     if name == "kinematic":
         section = config["kinematic"]
@@ -95,13 +96,11 @@ def _criterion(config: dict, name: str):
 def cmd_grid_eval(config: dict, args) -> int:
     out = _out_dir(config, args)
     spec = build_grid(config, args.resolution)
-    predicate = _criterion(config, args.criterion)
     positions = spec.node_positions()
-    # the field first: the mask then reuses the field's sweep of these positions
-    values = predicate.field.batch(positions) if "csv" in config["output"]["formats"] else None
-    mask = evaluate_mask(spec, predicate)
-    if values is not None:
-        table = np.column_stack([positions, values, mask.data.ravel()])
+    values, flags = _criterion(config, args.criterion).map(positions)
+    mask = FeasibilityMask(flags.reshape(spec.dims))
+    if "csv" in config["output"]["formats"]:
+        table = np.column_stack([positions, values, flags])
         _write_csv(out / f"{args.criterion}_map.csv", ("x", "y", "z", "value", "feasible"), table)
     save_mask(out / f"{args.criterion}_mask.npz", mask)
     print(f"{args.criterion}: {mask.count()} of {mask.data.size} nodes feasible")

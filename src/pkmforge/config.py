@@ -8,7 +8,7 @@ silently ignored.
 ``CONFIG_SCHEMA`` (draft-07) is checked by a walker of just the keywords it
 uses: ``type``, ``const``, ``enum``, ``minimum``, ``exclusiveMinimum``,
 ``items``, ``minItems``, ``maxItems``, ``required``, ``properties``,
-``additionalProperties: false``, ``oneOf`` and ``default``.  Each default
+``additionalProperties: false`` and ``default``.  Each default
 sits on its property; the walker fills a missing property with a copy of
 its default, so a validated config has every defaulted key.
 """
@@ -108,7 +108,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "cond_max": {"type": ["number", "null"], "exclusiveMinimum": 0, "default": 3.0},
-                "sigma_range": {"oneOf": [{"type": "null"}, _vec(2, exclusive_minimum=0)], "default": None},
+                "sigma_range": _vec(2, exclusive_minimum=0) | {"type": ["array", "null"], "default": None},
             },
             "default": {},
         },
@@ -245,8 +245,7 @@ class _Invalid(Exception):
 def _check(value, schema: dict, path: tuple = ()):
     """``value`` checked against ``schema``, rebuilt with integers as ``int`` and each missing
     property that has a ``default`` filled with a checked copy of it; raises ``_Invalid`` at the
-    first fault, a container's own before its members', and for a failed ``oneOf`` the deepest
-    branch fault, the error a draft-07 validator's ``best_match`` picks."""
+    first fault, a container's own before its members'."""
     if "type" in schema:
         names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
         if not any(_is(value, name) for name in names):
@@ -278,19 +277,6 @@ def _check(value, schema: dict, path: tuple = ()):
         for key, sub in properties.items():
             if key not in value and "default" in sub:
                 value[key] = _check(copy.deepcopy(sub["default"]), sub, (*path, key))
-    if "oneOf" in schema:
-        matches, faults = [], []
-        for branch in schema["oneOf"]:
-            try:
-                matches.append(_check(value, branch, path))
-            except _Invalid as exc:
-                faults.append(exc)
-        if len(matches) == 1:
-            return matches[0]
-        depths = sorted(len(exc.args[0]) for exc in faults)
-        if not matches and depths.count(depths[-1]) == 1:
-            raise max(faults, key=lambda exc: len(exc.args[0]))
-        raise _Invalid(path, f"{value!r} is valid under {len(matches)} of the given schemas, not exactly one")
     return value
 
 

@@ -107,18 +107,14 @@ class GridSpec(_ValueSemantics):
     def node_positions(self) -> np.ndarray:
         """All node positions as an (N, 3) array in C (i, j, k) order.
 
-        Every call returns the same read-only array, so field-level batch
-        caches keyed on array identity hit across repeated sweeps.
+        Every call returns the same read-only array, which owns its data,
+        so a ``ScalarField``'s cache hits across repeated sweeps.
         """
         return self._node_positions
 
     def _axes(self) -> list[np.ndarray]:
         """The node coordinates along each axis."""
         return [self.origin[a] + self.steps[a] * np.arange(self.dims[a]) for a in range(3)]
-
-    def _built_node_positions(self) -> Optional[np.ndarray]:
-        """``node_positions()`` if a caller has built it, else None; never builds it."""
-        return self.__dict__.get("_node_positions")
 
     @cached_property
     def _node_positions(self) -> np.ndarray:
@@ -200,6 +196,8 @@ class ScalarField:
     with NaN at infeasible rows.  The field keeps its latest batch result
     with the position array it was swept on, matched by identity, so a
     threshold family over ``GridSpec.node_positions()`` re-uses one sweep.
+    It keeps only an array that is read-only and owns its data, as
+    ``node_positions()`` is, so an array changed in place is swept again.
     """
 
     def __init__(self, scalar: Callable[[np.ndarray], float], batch: Callable[[np.ndarray], np.ndarray]):
@@ -215,15 +213,19 @@ class ScalarField:
 
     def batch(self, positions: np.ndarray) -> np.ndarray:
         latest = self._latest
-        if latest is None or latest[0] is not positions:
-            latest = self._latest = (positions, np.asarray(self._batch(positions), dtype=float))
-        return latest[1]
+        if latest is not None and latest[0] is positions:
+            return latest[1]
+        values = np.asarray(self._batch(positions), dtype=float)
+        if not positions.flags.writeable and positions.flags.owndata:
+            self._latest = (positions, values)
+        return values
 
 
 class ThresholdPredicate:
     """Feasibility predicate ``field <= bound`` (or >= for lower bounds) over
     (N, 3) positions, through the field's batch path; NaN field values compare
-    False either way, so they are infeasible."""
+    False either way, so they are infeasible.  ``map`` gives the field's
+    values and the flags from one sweep, ``batch`` the flags alone."""
 
     def __init__(self, field: ScalarField, bound: float, feasible_when: str = "below"):
         if feasible_when not in ("below", "above"):
@@ -232,12 +234,14 @@ class ThresholdPredicate:
         self.bound = float(bound)
         self.feasible_when = feasible_when
 
-    def batch(self, positions: np.ndarray) -> np.ndarray:
+    def map(self, positions: np.ndarray):
         values = self.field.batch(positions)
         with np.errstate(invalid="ignore"):
-            if self.feasible_when == "below":
-                return values <= self.bound
-            return values >= self.bound
+            flags = values <= self.bound if self.feasible_when == "below" else values >= self.bound
+        return values, flags
+
+    def batch(self, positions: np.ndarray) -> np.ndarray:
+        return self.map(positions)[1]
 
 
 # set in a thread while it runs an item of a parallel_map
@@ -347,7 +351,9 @@ def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
     grid's nodes in C order without their positions array (the
     transmission predicates, on ``sweep_grid``); any other predicate's
     ``batch`` method takes the (N, 3) node positions.  Either must return
-    one flag per node; whatever it raises propagates.
+    one flag per node; whatever it raises propagates.  A caller that also
+    needs each node's value asks the predicate's ``map(positions)``, which
+    gives the values and the flags from one sweep.
     """
     mask = getattr(predicate, "mask", None)
     flags = mask(spec) if mask is not None else predicate.batch(spec.node_positions())

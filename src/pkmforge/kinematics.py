@@ -409,36 +409,18 @@ def condition_field(geometry: GeometryParams):
 
 
 class _TransmissionPredicate:
-    """Conditioning predicate with a condition-number ``field``.
+    """Conditioning predicate.
 
-    The field keeps the ``batch_transmission`` sweep of the latest position
-    array it was asked for, and a mask over that same array (or over the
-    grid whose ``node_positions()`` it is) thresholds the kept sweep, so the
-    two share one sweep.  Any other mask is swept block by block on every
-    CPU and keeps only its flags: the float outputs of a full sweep take 24
-    bytes per node (51 MB on a 129^3 grid), a mask one byte.  ``mask(spec)``
-    sweeps the grid on ``grid.sweep_grid``, so it builds no (N, 3)
-    positions array either.
+    ``map(positions)`` gives the condition number and the flags of (N, 3)
+    positions from one ``batch_transmission`` sweep.  ``mask(spec)`` gives
+    the flags of a grid's nodes alone: it sweeps the grid block by block on
+    ``grid.sweep_grid``, so it builds no (N, 3) positions array and keeps
+    none of the float outputs of a full sweep (24 bytes a node, 51 MB on a
+    129^3 grid), only one byte a node.
     """
 
     def __init__(self, geometry: GeometryParams, cond_max, sigma_range):
-        from .grid import ScalarField
-
-        latest = []  # [positions, batch_transmission result] of the field's sweep
-
-        def transmission(positions):
-            if not latest or latest[0] is not positions:
-                latest[:] = [positions, batch_transmission(positions, geometry)]
-            return latest[1]
-
-        def scalar(position):
-            return kinematic_sample(position, geometry).cond
-
-        # the field holds closures only, so nothing refers back to the
-        # predicate and a sweep is freed with it
-        self._latest = latest
         self.geometry = geometry
-        self.field = ScalarField(scalar, lambda positions: transmission(positions)[1])
         self.cond_max = cond_max
         self.sigma_range = sigma_range
 
@@ -452,35 +434,19 @@ class _TransmissionPredicate:
                 flags = in_range if flags is None else flags & in_range
         return flags
 
-    def _kept(self, positions):
-        """The thresholded kept sweep of ``positions``, or None."""
-        if positions is None or not self._latest or self._latest[0] is not positions:
-            return None
-        _, cond, sigma_min, sigma_max = self._latest[1]
-        return self._passes(cond, sigma_min, sigma_max)
+    def map(self, positions: np.ndarray):
+        """(cond, flags) of (N, 3) positions, from one sweep."""
+        _, cond, sigma_min, sigma_max = batch_transmission(positions, self.geometry)
+        return cond, self._passes(cond, sigma_min, sigma_max)
 
-    def _flags_writer(self, flags: np.ndarray):
-        """A block writer that sets the flags of its passing rows."""
+    def mask(self, spec) -> np.ndarray:
+        flags = np.zeros(spec.dims[0] * spec.dims[1] * spec.dims[2], dtype=bool)
 
         def block(part: slice, positions: np.ndarray) -> None:
             rows, s_min, s_max = _transmission_rows(positions, self.geometry)
             flags[rows[self._passes(s_max / s_min, s_min, s_max)] + part.start] = True
 
-        return block
-
-    def batch(self, positions) -> np.ndarray:
-        flags = self._kept(positions)
-        if flags is None:
-            flags = np.zeros(positions.shape[0], dtype=bool)
-            write = self._flags_writer(flags)
-            sweep_blocks(flags.size, lambda part: write(part, positions[part]), TRANSMISSION_BLOCK_ROWS)
-        return flags
-
-    def mask(self, spec) -> np.ndarray:
-        flags = self._kept(spec._built_node_positions())
-        if flags is None:
-            flags = np.zeros(spec.dims[0] * spec.dims[1] * spec.dims[2], dtype=bool)
-            sweep_grid(spec, self._flags_writer(flags), TRANSMISSION_BLOCK_ROWS)
+        sweep_grid(spec, block, TRANSMISSION_BLOCK_ROWS)
         return flags
 
 
@@ -489,15 +455,13 @@ def transmission_predicate(
     cond_max: float | None = None,
     sigma_range: tuple[float, float] | None = None,
 ):
-    """Grid predicate for conditioning specs.  ``evaluate_mask`` asks its
-    ``mask(spec)`` for the flags of a grid; its ``batch`` test takes (N, 3)
-    positions.
+    """Grid predicate for conditioning specs: ``evaluate_mask`` asks its
+    ``mask(spec)`` for the flags of a grid, and ``map(positions)`` gives
+    the condition number and the flags of (N, 3) positions from one sweep.
 
     Feasible nodes are reachable and satisfy ``cond <= cond_max`` and/or
     ``sigma_range[0] <= sigma_min`` with ``sigma_max <= sigma_range[1]``.
-    At least one bound must be given.  The predicate's ``field`` is the
-    condition number; a mask over the positions the field was last swept
-    on reuses that sweep, and any other mask keeps only its flags.
+    At least one bound must be given.
     """
     if cond_max is None and sigma_range is None:
         raise ValueError("need cond_max, sigma_range, or both")

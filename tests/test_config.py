@@ -21,7 +21,6 @@ WALKER_KEYWORDS = {
     "required",
     "properties",
     "additionalProperties",
-    "oneOf",
     "default",
 }
 
@@ -81,9 +80,6 @@ def subschemas(schema):
                 yield from subschemas(sub)
         elif key == "items":
             yield from subschemas(value)
-        elif key == "oneOf":
-            for sub in value:
-                yield from subschemas(sub)
 
 
 def fault_path(config):
@@ -105,9 +101,6 @@ def full_config():
 def sites(value, schema, path=()):
     """Every ``(path, value, schema)`` of a config, the root included."""
     yield path, value, schema
-    for branch in schema.get("oneOf", ()):
-        if branch.get("type") == "array":
-            schema = branch
     if isinstance(value, dict):
         for key, item in value.items():
             if key in schema.get("properties", {}):
@@ -120,7 +113,8 @@ def sites(value, schema, path=()):
 def replacements(value, schema, rng):
     """Values for one site: wrong types, values at and below the bounds,
     integral floats, enum and const misses, wrong lengths, extra and missing
-    keys, and both ``oneOf`` branches."""
+    keys, and, where the type admits null, null and two-item arrays with
+    and without each fault."""
     out = [True, False, None, "x", [], {}, 0, 1, -1, 1.0, 0.5, -0.5, 2]
     for key in ("minimum", "exclusiveMinimum"):
         if key in schema:
@@ -130,7 +124,7 @@ def replacements(value, schema, rng):
         out += [float(value), value + 0.5]
     for option in schema.get("enum", []) + ([schema["const"]] if "const" in schema else []):
         out += [option, f"{option}x"] if isinstance(option, str) else [option, float(option), -option, True, False]
-    if "oneOf" in schema:
+    if "null" in schema.get("type", []):
         out += [None, [0.5, 1.5], [0, 1], [1.0], [1.0, 2.0, 3.0], [True, 1.0], "x", [None, 1.0]]
     if isinstance(value, list) and value:
         out += [value + value[-1:], value[:-1], value[:1], [copy.deepcopy(value[0])] * rng.randint(1, 4)]
@@ -252,16 +246,16 @@ class TestDraft7Semantics:
             ("x", ["kinematic", "sigma_range"]),
         ],
     )
-    def test_one_of_takes_exactly_one_branch(self, value, path):
+    def test_sigma_range_is_null_or_a_positive_pair(self, value, path):
         config = full_config()
         config["kinematic"]["sigma_range"] = value
         assert fault_path(config) == path
 
-    def test_one_of_rejects_a_value_matching_both_branches(self):
-        schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
-        with pytest.raises(_Invalid):
-            _check(3, schema)
-        assert _check(3.5, schema) == 3.5
+    def test_a_non_list_sigma_range_names_both_types(self):
+        config = full_config()
+        config["kinematic"]["sigma_range"] = 1.5
+        with pytest.raises(ConfigError, match="^config invalid at 'kinematic/sigma_range': 1.5 is not of type 'array', 'null'$"):
+            validate_config(config)
 
     def test_messages_keep_path_prefix(self):
         config = full_config()

@@ -240,7 +240,7 @@ class TestSweepGrid:
             blocks.append((rows, positions.copy()))
 
         sweep_grid(spec, record, block_rows)
-        assert spec._built_node_positions() is None
+        assert "_node_positions" not in vars(spec)
         nodes = spec.node_positions()
         blocks.sort(key=lambda block: block[0].start)
         starts = [rows.start for rows, _ in blocks]
@@ -579,6 +579,30 @@ class TestNestedCuboids:
 
         nested_cuboids(spec, family, [0.2, 0.4, 0.6])
         assert calls["batch"] == 1
+
+
+class TestScalarField:
+    def test_keeps_only_sweeps_of_read_only_arrays_that_own_their_data(self):
+        calls = []
+
+        def batch(points):
+            calls.append(1)
+            return points.sum(axis=1)
+
+        field = ScalarField(lambda p: 0.0, batch)
+        points = np.arange(12.0).reshape(4, 3)
+        assert field.batch(points).tolist() == [3.0, 12.0, 21.0, 30.0]
+        points[:] = -points  # changed in place: the same array, new values
+        assert field.batch(points).tolist() == [-3.0, -12.0, -21.0, -30.0]
+        view = points[:]
+        view.setflags(write=False)  # read-only, but its owner stays writable
+        field.batch(view)
+        points[0] = 1.0
+        assert field.batch(view)[0] == 3.0
+        assert len(calls) == 4
+        nodes = make_spec((3, 3, 3)).node_positions()
+        assert field.batch(nodes) is field.batch(nodes)
+        assert len(calls) == 5
 
 
 class TestRuntimeScaling:

@@ -247,24 +247,24 @@ class TestTransmissionPredicate:
             if sigma_range is not None:
                 valid = valid & (sigma_min >= sigma_range[0]) & (sigma_max <= sigma_range[1])
         assert 0 < valid.sum() < len(points)
-        alone = transmission_predicate(symmetric_geometry, cond_max, sigma_range)
-        assert alone.batch(points).tolist() == valid.tolist()
-        shared = transmission_predicate(symmetric_geometry, cond_max, sigma_range)
-        assert shared.field.batch(points).tobytes() == cond.tobytes()
-        assert shared.batch(points).tolist() == valid.tolist()
+        values, flags = transmission_predicate(symmetric_geometry, cond_max, sigma_range).map(points)
+        assert values.tobytes() == cond.tobytes()
+        assert flags.dtype == bool and flags.tolist() == valid.tolist()
 
     def test_mask_swept_alone_keeps_no_float_outputs(self, symmetric_geometry):
-        points = np.random.default_rng(8).uniform(-0.6, 0.6, size=(32 * TRANSMISSION_BLOCK_ROWS, 3))
+        # 129^3 nodes: 33 blocks of whole k-lines
+        spec = grid.GridSpec(origin=(-0.6,) * 3, proportions=(1.2,) * 3, resolution=128, dims=(129,) * 3)
         predicate = transmission_predicate(symmetric_geometry, cond_max=2.0, sigma_range=(0.6, 1.8))
         tracemalloc.start()
         try:
-            flags = predicate.batch(points)
+            mask = grid.evaluate_mask(spec, predicate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert flags.sum() > 0
+        assert mask.data.size >= 32 * TRANSMISSION_BLOCK_ROWS
+        assert mask.count() > 0
         # a full sweep's cond, sigma_min and sigma_max alone take 24 bytes a node
-        assert peak < 24 * len(points)
+        assert peak < 24 * mask.data.size
 
 
     def test_block_kernel_frees_the_rate_matrices_before_the_eigenvalues(self, symmetric_geometry):
@@ -352,7 +352,7 @@ class TestThreadedSweep:
         sweeps = {
             "condition field": (lambda: condition_field(symmetric_geometry).batch(points), {"ScalarField.batch"}),
             "full sweep": (lambda: kinematics.batch_transmission(points, symmetric_geometry), {"kinematics.batch_transmission"}),
-            "mask over positions": (lambda: predicate().batch(points), set()),
+            "map over positions": (lambda: predicate().map(points), {"kinematics.batch_transmission"}),
             "mask over a grid": (lambda: grid.evaluate_mask(spec, predicate()), {"grid.evaluate_mask"}),
         }
         main = {threading.main_thread()}
@@ -383,7 +383,7 @@ class TestGridMask:
         lines = spec.dims[0] * spec.dims[1]
         assert lines > 3 * (TRANSMISSION_BLOCK_ROWS // spec.dims[2])
         flags = grid.evaluate_mask(spec, transmission_predicate(symmetric_geometry, cond_max, sigma_range))
-        assert spec._built_node_positions() is None  # no (N, 3) positions array was built
+        assert "_node_positions" not in vars(spec)  # no (N, 3) positions array was built
         valid, cond, sigma_min, sigma_max = batch_transmission(spec.node_positions(), symmetric_geometry)
         with np.errstate(invalid="ignore"):
             if cond_max is not None:
