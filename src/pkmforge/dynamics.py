@@ -183,19 +183,12 @@ def _acceleration(m: np.ndarray, inertia: np.ndarray, limits: np.ndarray, mode: 
     return np.where(ok, support.min(axis=1), np.nan)
 
 
-def _scatter(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(n,) array of ``values`` at ``rows`` and NaN elsewhere."""
-    out = np.full(n, np.nan)
-    out[rows] = values
-    return out
-
-
 def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarField:
     """Field of the spectral norm of the tool-felt inertia.
 
     The rate matrices come from one ``batch_rate_matrices`` call; the
     inertias and felt inertias of the kept rows run per block on every CPU
-    (``grid.sweep_blocks``), and their eigenvalues once, gathered."""
+    (``grid.sweep_blocks``), and their eigenvalues once, at the kept rows."""
 
     def scalar(position):
         rho = inverse_kinematics(position, geometry)
@@ -213,7 +206,9 @@ def inertia_norm_field(geometry: GeometryParams, model: InertiaModel) -> ScalarF
             felt[kept] = _felt_inertia(*_joint_inertias(m[kept], model))
 
         sweep_blocks(rows.size, block)
-        return _scatter(positions.shape[0], rows, sym_eigvals_3x3(felt)[:, 2])
+        values = np.full(positions.shape[0], np.nan)
+        values[rows] = sym_eigvals_3x3(felt)[:, 2]
+        return values
 
     return ScalarField(scalar, batch)
 
@@ -227,7 +222,8 @@ def acceleration_field(
     """Field of the achievable acceleration magnitude per node.
 
     The rate matrices come from one ``batch_rate_matrices`` call; the rest
-    runs per block of kept rows on every CPU (``grid.sweep_blocks``)."""
+    runs per block of kept rows on every CPU (``grid.sweep_blocks``), and
+    writes its values at those rows."""
     if mode not in ("ball", "max"):
         raise ValueError(f"mode must be 'ball' or 'max', got {mode!r}")
     limits = np.asarray(torque_limits, dtype=float)
@@ -240,13 +236,13 @@ def acceleration_field(
 
     def batch(positions):
         rows, m = batch_rate_matrices(positions, geometry)
-        values = np.empty(rows.size)
+        values = np.full(positions.shape[0], np.nan)
 
         def block(kept):
-            values[kept] = _acceleration(*_joint_inertias(m[kept], model), limits, mode)
+            values[rows[kept]] = _acceleration(*_joint_inertias(m[kept], model), limits, mode)
 
         sweep_blocks(rows.size, block)
-        return _scatter(positions.shape[0], rows, values)
+        return values
 
     return ScalarField(scalar, batch)
 

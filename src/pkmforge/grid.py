@@ -192,11 +192,11 @@ class ScalarField:
 
     Calling the field returns NaN where the scalar callable raises a
     PkmforgeError or LinAlgError (unreachable or failed nodes).  The batch
-    callable must accept an (N, 3) position array and return (N,) values
-    with NaN at infeasible rows.  The field keeps its latest batch result
-    with the position array it was swept on, matched by identity, so a
-    threshold family over ``GridSpec.node_positions()`` re-uses one sweep.
-    It keeps only an array that is read-only and owns its data, as
+    callable must accept an (N, 3) position array and return (N,) values with
+    NaN at infeasible rows.  The field keeps its latest batch result, made
+    read-only, with the position array it was swept on, matched by identity,
+    so a threshold family over ``GridSpec.node_positions()`` re-uses one
+    sweep.  It keeps only an array that is read-only and owns its data, as
     ``node_positions()`` is, so an array changed in place is swept again.
     """
 
@@ -217,6 +217,7 @@ class ScalarField:
             return latest[1]
         values = np.asarray(self._batch(positions), dtype=float)
         if not positions.flags.writeable and positions.flags.owndata:
+            values.setflags(write=False)
             self._latest = (positions, values)
         return values
 

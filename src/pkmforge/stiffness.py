@@ -369,32 +369,26 @@ class OrthoglideStiffnessModel(_ValueSemantics):
         Returns (valid, K) with K of shape (N, 6, 6); rows that are out of
         reach, or where assembly or inversion failed, are flagged invalid
         and their K is exactly zero.  IK runs once over all rows; the
-        per-leg assembly and inverse run only on the reachable rows, packed
-        together, per block of them on every CPU (see ``grid.sweep_blocks``),
-        and are scattered back.  No row's result depends on the blocking.
+        per-leg assembly and inverse run per block of the given rows on
+        every CPU (see ``grid.sweep_blocks``), only on its reachable rows,
+        and write them in place.  No row's result depends on the blocking.
         """
         pts = np.asarray(positions, dtype=float)
         reachable, rho = batch_inverse_kinematics(pts, self.geometry)
-        rows = np.flatnonzero(reachable)
         k_invs = [np.linalg.inv(self._spring_matrix(leg)) for leg in range(3)]
-        ok = np.ones(rows.size, dtype=bool)
-        packed = np.zeros((rows.size, WRENCH_SIZE, WRENCH_SIZE))
-
-        def block(kept):
-            at = rows[kept]
-            self._block_stiffness(pts[at], rho[at], k_invs, ok[kept], packed[kept])
-
-        sweep_blocks(rows.size, block)
-        packed[~ok] = 0.0
         valid = np.zeros(pts.shape[0], dtype=bool)
-        valid[rows] = ok
         total = np.zeros((pts.shape[0], WRENCH_SIZE, WRENCH_SIZE))
-        total[rows] = packed
+
+        def block(part):
+            at = np.flatnonzero(reachable[part]) + part.start
+            valid[at], total[at] = self._block_stiffness(pts[at], rho[at], k_invs)
+
+        sweep_blocks(pts.shape[0], block)
         return valid, total
 
-    def _block_stiffness(self, pts, rho, k_invs, valid, total) -> None:
-        """Sums the legs' Cartesian stiffness over one block of rows into
-        ``total`` (n, 6, 6) and clears ``valid`` (n,) where a leg fails;
+    def _block_stiffness(self, pts, rho, k_invs):
+        """The legs' summed Cartesian stiffness over one block of rows, as
+        (valid (n,), K (n, 6, 6)), False and zero where a leg fails;
         ``k_invs`` are the legs' inverse spring matrices.  The upper-left 6x6
         block of each block system's inverse comes from one LU solve against
         the first six columns of the identity, passed to the batched solve
@@ -407,6 +401,8 @@ class OrthoglideStiffnessModel(_ValueSemantics):
         n = pts.shape[0]
         size = WRENCH_SIZE + 2
         columns = np.eye(size)[:, :WRENCH_SIZE]
+        valid = np.ones(n, dtype=bool)
+        total = np.zeros((n, WRENCH_SIZE, WRENCH_SIZE))
         for leg, k_inv in enumerate(k_invs):
             ok, j_virtual, j_passive = self._leg_jacobians(pts, rho, leg)
             valid &= ok
@@ -431,6 +427,8 @@ class OrthoglideStiffnessModel(_ValueSemantics):
                         valid[row] = False
                         inverse[row] = columns
             total += inverse[:, :WRENCH_SIZE] / safe_scale[:, None, None]
+        total[~valid] = 0.0
+        return valid, total
 
     def batch_deflection(self, positions: np.ndarray, load):
         """Translational deflection norm under ``load`` over (N, 3) positions."""
@@ -506,8 +504,6 @@ def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
 
     def block(rows):
         solvable = np.flatnonzero(valid[rows]) + rows.start
-        if not solvable.size:
-            return
         k_sub = stiffness[solvable]
         k_sym = 0.5 * (k_sub + np.transpose(k_sub, (0, 2, 1)))
         conditioned = _certified_conditioned(k_sym)
@@ -516,11 +512,10 @@ def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
             eigenvalues = np.linalg.eigvalsh(k_sym[undecided])
             conditioned[undecided] = eigenvalues[:, 0] > eigenvalues[:, -1] / CONDITION_LIMIT
         solvable = solvable[conditioned]
-        if solvable.size:
-            rhs = np.tile(f.reshape(1, WRENCH_SIZE, 1), (solvable.size, 1, 1))
-            twists = np.linalg.solve(stiffness[solvable], rhs)[:, :, 0]
-            values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
-            solved[solvable] = True
+        rhs = np.tile(f.reshape(1, WRENCH_SIZE, 1), (solvable.size, 1, 1))
+        twists = np.linalg.solve(k_sub[conditioned], rhs)[:, :, 0]
+        values[solvable] = np.linalg.norm(twists[:, :3], axis=1)
+        solved[solvable] = True
 
     sweep_blocks(stiffness.shape[0], block)
     return solved, values

@@ -604,6 +604,16 @@ class TestScalarField:
         assert field.batch(nodes) is field.batch(nodes)
         assert len(calls) == 5
 
+    def test_kept_values_cannot_be_written_through_a_returned_map(self):
+        field = ScalarField(lambda p: 0.0, lambda points: np.linalg.norm(points, axis=1))
+        nodes = make_spec((3, 3, 3)).node_positions()
+        values, flags = ThresholdPredicate(field, 0.5).map(nodes)
+        assert 0 < flags.sum() < flags.size
+        for returned in (values, field.batch(nodes)):
+            with pytest.raises(ValueError, match="read-only"):
+                returned[:] = 0.0
+        assert ThresholdPredicate(field, 0.5).batch(nodes).tolist() == flags.tolist()
+
 
 class TestRuntimeScaling:
     def test_dp_runtime_roughly_linear_in_nodes(self):

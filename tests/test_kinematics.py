@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import on_cpus, sample_reachable_points
 from pkmforge import _spectral, dynamics, grid, kinematics, stiffness
+from pkmforge.config import build_dynamics, build_stiffness, default_config
 from pkmforge.errors import Infeasible, NoConvergence, Singular
 from pkmforge.kinematics import (
     TRANSMISSION_BLOCK_ROWS,
@@ -327,7 +329,10 @@ class TestThreadedSweep:
             (stiffness.OrthoglideStiffnessModel, "batch_deflection"),
             (grid.ScalarField, "batch"),
             (grid, "evaluate_mask"),
-            (kinematics, "_transmission_rows"),  # the block kernel, which must run in workers
+            # the block kernels, which must run in workers
+            (kinematics, "_transmission_rows"),
+            (stiffness.OrthoglideStiffnessModel, "_block_stiffness"),
+            (dynamics, "_joint_inertias"),
         ]
         threads = {}
 
@@ -344,22 +349,54 @@ class TestThreadedSweep:
         on_cpus(monkeypatch, 3)
         points = self.points()
         spec = mask_spec()
+        config = default_config()
+        stiffness_model, stiffness_spec = build_stiffness(config)
+        stiffness_model = replace(stiffness_model, geometry=symmetric_geometry)
+        inertia_model, dynamic_spec = build_dynamics(config)
+        # at least three blocks of reachable rows
+        few = points[: 4 * grid.SWEEP_BLOCK_ROWS]
+        assert kinematics.batch_inverse_kinematics(few, symmetric_geometry)[0].sum() > 2 * grid.SWEEP_BLOCK_ROWS
 
         def predicate():
             return transmission_predicate(symmetric_geometry, cond_max=2.0, sigma_range=(0.6, 1.8))
 
-        # each sweep takes at least three blocks
+        def deflections():
+            return stiffness.deflection_field(stiffness_model, stiffness_spec.load).batch(few)
+
+        def accelerations():
+            return dynamics.acceleration_field(symmetric_geometry, inertia_model, dynamic_spec.torque_limits).batch(few)
+
+        transmission, stiffness_kernel, dynamics_kernel = (
+            "kinematics._transmission_rows",
+            "OrthoglideStiffnessModel._block_stiffness",
+            "dynamics._joint_inertias",
+        )
+        stiffness_names = {
+            "ScalarField.batch",
+            "OrthoglideStiffnessModel.batch_deflection",
+            "OrthoglideStiffnessModel.batch_cartesian_stiffness",
+            "stiffness.batch_inverse_kinematics",
+        }
+        dynamics_names = {"ScalarField.batch", "dynamics.batch_rate_matrices", "kinematics.batch_inverse_kinematics"}
+        # each sweep takes at least three blocks; its block kernel must run in a worker
         sweeps = {
-            "condition field": (lambda: condition_field(symmetric_geometry).batch(points), {"ScalarField.batch"}),
-            "full sweep": (lambda: kinematics.batch_transmission(points, symmetric_geometry), {"kinematics.batch_transmission"}),
-            "map over positions": (lambda: predicate().map(points), {"kinematics.batch_transmission"}),
-            "mask over a grid": (lambda: grid.evaluate_mask(spec, predicate()), {"grid.evaluate_mask"}),
+            "condition field": (lambda: condition_field(symmetric_geometry).batch(points), {"ScalarField.batch"}, transmission),
+            "full sweep": (lambda: kinematics.batch_transmission(points, symmetric_geometry), {"kinematics.batch_transmission"}, transmission),
+            "map over positions": (lambda: predicate().map(points), {"kinematics.batch_transmission"}, transmission),
+            "mask over a grid": (lambda: grid.evaluate_mask(spec, predicate()), {"grid.evaluate_mask"}, transmission),
+            "deflection field": (deflections, stiffness_names, stiffness_kernel),
+            "inertia field": (
+                lambda: dynamics.inertia_norm_field(symmetric_geometry, inertia_model).batch(few),
+                dynamics_names | {"dynamics.sym_eigvals_3x3"},
+                dynamics_kernel,
+            ),
+            "acceleration field": (accelerations, dynamics_names, dynamics_kernel),
         }
         main = {threading.main_thread()}
-        for label, (sweep, entry_points) in sweeps.items():
+        for label, (sweep, entry_points, kernel) in sweeps.items():
             threads.clear()
             sweep()
-            assert threads.pop("kinematics._transmission_rows") - main, label
+            assert threads.pop(kernel) - main, label
             assert threads == {name: main for name in entry_points}, label
 
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.linalg import null_space
 from conftest import on_cpus, reachable, signed_zero_values
 
 from pkmforge import grid, stiffness
+from pkmforge.config import build_grid, build_stiffness, default_config
 from pkmforge.errors import EmptyInput, SingularStiffness, SingularSystem
 from pkmforge.grid import GridSpec, ThresholdPredicate, evaluate_mask, nested_cuboids
 from pkmforge.kinematics import GeometryParams, batch_inverse_kinematics, inverse_kinematics
@@ -280,28 +282,32 @@ class TestOrthoglideModel:
 
 
 class TestBlockedSweep:
-    """The stiffness sweep packs the reachable rows and runs them per block on
-    a thread pool; no row's bits may depend on the blocking or on the CPU
-    count."""
+    """The stiffness sweep runs blocks of its given rows on a thread pool,
+    each on its own reachable rows, which it writes in place; no row's bits
+    may depend on the blocking or on the CPU count."""
 
     BLOCK = grid.SWEEP_BLOCK_ROWS
     ROWS = 5 * BLOCK + 77
-    # slice ends; each slice packs its own reachable rows into blocks
+    # slice ends; each slice is swept in blocks of its own rows
     CUTS = (0, 1, BLOCK // 2, BLOCK + 1, 2 * BLOCK - 1, 3 * BLOCK - BLOCK // 3, ROWS)
 
     @pytest.fixture(scope="class")
     def points(self):
-        # 40 % of the rows are unreachable; the reachable ones fill three full
-        # blocks and a short last one
-        return np.random.default_rng(7).uniform(-0.9, 0.9, size=(self.ROWS, 3))
+        # 40 % of the rows are unreachable, and so is every row of the third
+        # block, moved out of reach; the last block is short
+        points = np.random.default_rng(7).uniform(-0.9, 0.9, size=(self.ROWS, 3))
+        points[2 * self.BLOCK : 3 * self.BLOCK] += 2.0
+        return points
 
     @pytest.fixture(scope="class")
     def short_block(self, points):
-        """Rows in the sweep's last, short block."""
+        """Reachable rows in the sweep's last, short block; no other block
+        has as many, and the third has none."""
         reachable, _ = batch_inverse_kinematics(points, default_model()[0].geometry)
-        full, short = divmod(int(reachable.sum()), self.BLOCK)
-        assert full == 3 and 0 < short
-        return short
+        counts = [int(reachable[start : start + self.BLOCK].sum()) for start in range(0, self.ROWS, self.BLOCK)]
+        assert len(counts) == 6 and counts[2] == 0
+        assert 0 < counts[-1] and counts.count(counts[-1]) == 1
+        return counts[-1]
 
     @staticmethod
     def sweep(points):
@@ -397,6 +403,22 @@ class TestBlockedSweep:
         assert k[~valid].tobytes() == np.zeros_like(k[~valid]).tobytes()
         assert k[valid].tobytes() == reference[1][valid].tobytes()
 
+    def test_peak_memory_on_the_default_grid_is_about_the_result(self, monkeypatch):
+        on_cpus(monkeypatch, 1)
+        config = default_config()
+        positions = build_grid(config).node_positions()  # 49^3 nodes
+        model, _ = build_stiffness(config)
+        tracemalloc.start()
+        try:
+            valid, k = model.batch_cartesian_stiffness(positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(positions) == 49**3 and valid.mean() > 0.8
+        # K, IK's outputs and one block's temporaries take about 1.26 K; a
+        # packed copy of the reachable rows' K would add 0.84 K more
+        assert peak < 1.5 * k.nbytes
+
     def test_six_column_solve_matches_inverse_bitwise(self, points, monkeypatch):
         # the sweep keeps the upper-left 6x6 block of each block system's
         # inverse from a solve against six identity columns; this holds it to
@@ -413,7 +435,7 @@ class TestBlockedSweep:
         model, _ = default_model()
         model.batch_cartesian_stiffness(points)
         monkeypatch.undo()
-        assert len(systems) == 3 * 4  # three legs of three full blocks and a short one
+        assert len(systems) == 3 * 6  # three legs of six blocks, one of them with no row
         for a, b, x in systems:
             # a stack of right-hand sides, as numpy 1.x reads (n, 8, 8) with
             # (8, 6) as a stack of vectors and rejects it
