@@ -259,15 +259,15 @@ def batch_rate_matrices(positions: np.ndarray, geometry: GeometryParams):
     has no rate matrix.  ``M`` is a view of a (3, 3, len(rows)) array, so
     each entry's values are contiguous.
     """
-    return _rate_matrices(positions, geometry, batch_inverse_kinematics)
-
-
-def _rate_matrices(positions: np.ndarray, geometry: GeometryParams, ik):
-    """``batch_rate_matrices`` with the inverse kinematics ``ik``."""
-    pts = np.asarray(positions, dtype=float)
     # one transposed copy, shared with the inverse kinematics
-    cols = np.ascontiguousarray(pts.T)
-    reachable, rho = ik(cols.T, geometry)
+    cols = np.ascontiguousarray(np.asarray(positions, dtype=float).T)
+    return _rate_matrices(cols, *batch_inverse_kinematics(cols.T, geometry))
+
+
+def _rate_matrices(cols: np.ndarray, reachable: np.ndarray, rho: np.ndarray):
+    """``batch_rate_matrices`` of the (3, N) positions ``cols`` after their
+    inverse kinematics ``(reachable, rho)``, which it uses up: ``rho``'s
+    buffer takes the denominators and ``reachable`` the kept flags."""
     # p_i - rho_i, in the buffer of rho, which is not needed after it
     den = np.subtract(cols, rho.T, out=rho.T)
     kept = reachable
@@ -332,18 +332,26 @@ _batch_inverse_kinematics = batch_inverse_kinematics
 _sym_eigvals_3x3 = sym_eigvals_3x3
 
 
-def _transmission_rows(positions: np.ndarray, geometry: GeometryParams):
+def _transmission_rows(positions: np.ndarray, geometry: GeometryParams, ik=None):
     """The block kernel of every transmission sweep: (rows, sigma_min,
     sigma_max) of the positions that are reachable, pass the denominator
     guard and whose condition number is at most ``CONDITION_LIMIT``.
 
-    ``rows`` holds their indices, ascending.  The singular values of J are
-    the reciprocals of those of M, so no matrix inversion is needed; the
-    Gram ``M^T M``, its eigenvalues and the guard are computed elementwise
-    on the kept rows only, and ``M`` and the Gram are freed as soon as they
-    have been used, so a block holds little more than its kept rows.
+    ``rows`` holds their indices, ascending.  Its first step is the inverse
+    kinematics; a caller that already has the positions' IK, ``(reachable,
+    rho)`` as ``batch_inverse_kinematics`` gives it, passes it as ``ik``,
+    and the kernel starts after that step and uses the arrays up (a mask
+    after its predicate's ``reach``).  The singular values of J are the
+    reciprocals of those of M, so no matrix inversion is needed; the Gram
+    ``M^T M``, its eigenvalues and the guard are computed elementwise on the
+    kept rows only, and ``M`` and the Gram are freed as soon as they have
+    been used, so a block holds little more than its kept rows.
     """
-    rows, m = _rate_matrices(positions, geometry, _batch_inverse_kinematics)
+    cols = np.ascontiguousarray(np.asarray(positions, dtype=float).T)
+    reachable, rho = _batch_inverse_kinematics(cols.T, geometry) if ik is None else ik
+    del ik
+    rows, m = _rate_matrices(cols, reachable, rho)
+    del cols, reachable, rho
     gram = _gram(m)
     del m
     vals = _sym_eigvals_3x3(gram)
@@ -416,13 +424,15 @@ class _TransmissionPredicate:
     the flags of a grid's nodes alone: it sweeps the grid block by block on
     ``grid.sweep_grid``, so it builds no (N, 3) positions array and keeps
     none of the float outputs of a full sweep (24 bytes a node, 51 MB on a
-    129^3 grid), only one byte a node.
+    129^3 grid), only one byte a node.  ``reach(spec)`` gives the flags of
+    the nodes that pass the inverse kinematics alone.
     """
 
     def __init__(self, geometry: GeometryParams, cond_max, sigma_range):
         self.geometry = geometry
         self.cond_max = cond_max
         self.sigma_range = sigma_range
+        self._ik = None  # (spec, reachable, rho) of a one-block grid, kept by reach
 
     def _passes(self, cond, sigma_min, sigma_max) -> np.ndarray:
         """The bounds' flags; NaN values (unreachable rows) fail every bound."""
@@ -439,11 +449,40 @@ class _TransmissionPredicate:
         _, cond, sigma_min, sigma_max = batch_transmission(positions, self.geometry)
         return cond, self._passes(cond, sigma_min, sigma_max)
 
-    def mask(self, spec) -> np.ndarray:
-        flags = np.zeros(spec.dims[0] * spec.dims[1] * spec.dims[2], dtype=bool)
+    def reach(self, spec) -> np.ndarray:
+        """The flags of a grid's nodes that pass the inverse kinematics, in
+        C order: a superset of ``mask(spec)``'s flags, swept on
+        ``grid.sweep_grid`` like them.
+
+        On a grid of one block, ``TRANSMISSION_BLOCK_ROWS`` nodes or fewer,
+        the predicate keeps that block's IK, and its next ``mask(spec)``
+        starts the kernel after the IK step and uses it up.
+        """
+        nodes = spec.dims[0] * spec.dims[1] * spec.dims[2]
+        flags = np.empty(nodes, dtype=bool)
+        self._ik = None
 
         def block(part: slice, positions: np.ndarray) -> None:
-            rows, s_min, s_max = _transmission_rows(positions, self.geometry)
+            reachable, rho = _batch_inverse_kinematics(positions, self.geometry)
+            flags[part] = reachable
+            if part.stop - part.start == nodes:
+                self._ik = (spec, reachable, rho)
+
+        sweep_grid(spec, block, TRANSMISSION_BLOCK_ROWS)
+        return flags
+
+    def mask(self, spec) -> np.ndarray:
+        flags = np.zeros(spec.dims[0] * spec.dims[1] * spec.dims[2], dtype=bool)
+        # the IK kept by reach(spec), this grid's single block: popped into
+        # the kernel, so no frame here keeps it alive while the kernel runs
+        kept = [self._ik[1:]] if self._ik is not None and self._ik[0] is spec else []
+        self._ik = None
+
+        def block(part: slice, positions: np.ndarray) -> None:
+            if kept:
+                rows, s_min, s_max = _transmission_rows(positions, self.geometry, kept.pop())
+            else:
+                rows, s_min, s_max = _transmission_rows(positions, self.geometry)
             flags[rows[self._passes(s_max / s_min, s_min, s_max)] + part.start] = True
 
         sweep_grid(spec, block, TRANSMISSION_BLOCK_ROWS)

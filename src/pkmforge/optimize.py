@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import Infeasible, PkmforgeError
-from .grid import GridSpec, _ValueSemantics, evaluate_mask, largest_cuboid, parallel_map
+from .grid import FeasibilityMask, GridSpec, _ValueSemantics, evaluate_mask, largest_cuboid, parallel_map
 from .kinematics import GeometryParams, transmission_predicate
 
 LAMBDA_TOL = 1e-6
@@ -50,10 +50,21 @@ class Objective:
 
 @dataclass(frozen=True)
 class WorkspaceConstraint:
-    """Scalar constraint ``evaluate(x) >= bound``."""
+    """Scalar constraint ``evaluate(x) >= bound``.
+
+    ``upper_bound(x)``, when given, is cheaper than ``evaluate(x)`` and
+    returns ``(upper, value)``: ``upper`` is never below ``evaluate(x)``,
+    and ``value()`` returns ``evaluate(x)`` itself, free to reuse the work
+    behind ``upper``.  The search skips the evaluation of a poll trial that
+    ``upper`` rules out, and calls ``value`` only within the trial that
+    asked for the bound, so that work is kept no longer.  A PkmforgeError
+    or LinAlgError raised by ``upper_bound`` reads as ``upper = +inf``,
+    which rules nothing out; any other exception propagates.
+    """
 
     evaluate: Callable[[np.ndarray], float]
     bound: float
+    upper_bound: Optional[Callable[[np.ndarray], tuple[float, Callable[[], float]]]] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,14 +163,20 @@ class _ProblemEvaluator:
     objectives are computed then.  Its constraints, the costly part, are
     computed only when first asked for, at the first design stored under the
     key, so a design within ``CACHE_QUANTUM`` of an earlier one shares that
-    design's values whichever way either was reached.
+    design's values whichever way either was reached.  The constraints'
+    upper bounds (``WorkspaceConstraint.upper_bound``) are cached per key
+    the same way but apart: a bound is never a constraint value, and
+    computing one is not an evaluation.  A bound's ``value`` functions are
+    not cached: only the trial that computed the bound may use them.
     """
 
     def __init__(self, problem: GoalProblem):
         self.problem = problem
-        # key -> (first design, its objectives); key -> its constraints
+        # key -> (first design, its objectives); key -> its constraints;
+        # key -> its constraints' upper bounds
         self.designs: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self.constraints: dict[tuple[int, ...], np.ndarray] = {}
+        self.bounds: dict[tuple[int, ...], np.ndarray] = {}
         self.evaluations = 0
 
     def _key(self, x: np.ndarray) -> tuple[int, ...]:
@@ -174,6 +191,19 @@ class _ProblemEvaluator:
         self.designs[key] = (x, values)
         return x, values
 
+    def _constraints(self, key: tuple[int, ...], first: np.ndarray, finish=None) -> np.ndarray:
+        """The key's constraint values; ``finish``, when given, holds for
+        each constraint its bound's ``value`` at ``first``, or None."""
+        constraints = self.constraints.get(key)
+        if constraints is None:
+            finish = finish or [None] * len(self.problem.constraints)
+            constraints = np.array(
+                [c.evaluate(first) if f is None else f() for c, f in zip(self.problem.constraints, finish)],
+                dtype=float,
+            )
+            self.constraints[key] = constraints
+        return constraints
+
     def values(self, x: np.ndarray) -> np.ndarray:
         """The objectives of ``x``, without computing its constraints."""
         return self._design(self._key(x), x)[1]
@@ -182,11 +212,34 @@ class _ProblemEvaluator:
         """The objectives and constraints of ``x``."""
         key = self._key(x)
         first, values = self._design(key, x)
+        return values, self._constraints(key, first)
+
+    def penalty(self, x: np.ndarray, part: float, mult: float, cutoff: float) -> float:
+        """``part + mult * residual`` at ``x``, exact when it is below
+        ``cutoff`` and otherwise any value at or above it.
+
+        ``mult`` is positive, and no term of the residual is negative or
+        grows with a constraint value.  So ``part`` alone, and then ``part``
+        plus ``mult`` times the residual at the constraints' upper bounds,
+        bound the sum from below; the first of them that reaches ``cutoff``
+        answers the trial before its constraints are computed.
+        """
+        if part >= cutoff:
+            return part
+        key = self._key(x)
+        first, values = self._design(key, x)
         constraints = self.constraints.get(key)
         if constraints is None:
-            constraints = np.array([c.evaluate(first) for c in self.problem.constraints], dtype=float)
-            self.constraints[key] = constraints
-        return values, constraints
+            bounds, finish = self.bounds.get(key), None
+            if bounds is None:
+                pairs = [_upper_bound(c, first) for c in self.problem.constraints]
+                bounds = self.bounds[key] = np.array([upper for upper, _ in pairs], dtype=float)
+                finish = [value for _, value in pairs]
+            bounded = part + mult * self.residual(values, bounds)
+            if bounded >= cutoff:
+                return bounded
+            constraints = self._constraints(key, first, finish)
+        return part + mult * self.residual(values, constraints)
 
     def residual(self, values: np.ndarray, constraints: np.ndarray) -> float:
         total = 0.0
@@ -216,6 +269,19 @@ class _ProblemEvaluator:
         return total
 
 
+def _upper_bound(constraint: WorkspaceConstraint, x: np.ndarray):
+    """``(upper, value)`` of the constraint's upper bound at ``x``;
+    ``(+inf, None)`` when it has none or its bound fails with a
+    PkmforgeError or LinAlgError."""
+    if constraint.upper_bound is None:
+        return np.inf, None
+    try:
+        upper, value = constraint.upper_bound(x)
+    except (PkmforgeError, np.linalg.LinAlgError):
+        return np.inf, None
+    return float(upper), value
+
+
 def latin_hypercube(bounds, count: int, rng: np.random.Generator) -> np.ndarray:
     """Latin hypercube sample of designs inside the box bounds."""
     bounds = np.asarray(bounds, dtype=float)
@@ -242,10 +308,11 @@ def pattern_search(
     (the designs visited) reaches the budget.  Returns (x, f, converged).
 
     ``func(x, cutoff)`` must return the exact value of ``x`` when it is
-    below ``cutoff``, and otherwise any value at or above it.  A trial only
-    has to beat the running best of its poll, so that is its cutoff, and
-    ``func`` may skip the costly part of a trial that cannot win; the start
-    is evaluated with an infinite cutoff.
+    below ``cutoff``, and otherwise any value at or above it, such as a
+    lower bound on the exact value that already reaches the cutoff.  A
+    trial only has to beat the running best of its poll, so that is its
+    cutoff, and ``func`` may skip the costly part of a trial that cannot
+    win; the start is evaluated with an infinite cutoff.
     """
     bounds = np.asarray(bounds, dtype=float)
     span = bounds[:, 1] - bounds[:, 0]
@@ -299,7 +366,14 @@ def goal_attain(
     design, the minimax stage and the pass run once more from there.
     Both merits add their constraint term, which is never negative, last,
     so a trial whose objective part already reaches its poll's running best
-    cannot win and is answered without computing its constraints.
+    cannot win and is answered without computing its constraints; so is a
+    trial whose objective part plus the term at its constraints' upper
+    bounds reaches it (``WorkspaceConstraint.upper_bound``, cached per
+    design apart from the constraint values; a bound is not an evaluation).
+    A trial that still needs its constraints takes them from its bounds'
+    ``value`` functions.
+    Every exception but the PkmforgeError or LinAlgError of an upper bound
+    (``+inf``, which rules nothing out) propagates.
     Raises Infeasible when no start reaches a feasible design within its
     budget.
     """
@@ -323,12 +397,8 @@ def goal_attain(
             for rho in PENALTY_SCHEDULE:
 
                 def penalized(design, cutoff, rho=rho):
-                    # the residual is >= 0, so the level alone bounds the sum
                     level = evaluator.level(evaluator.values(design))
-                    if level >= cutoff:
-                        return level
-                    values, constraints = evaluator(design)
-                    return level + rho * evaluator.residual(values, constraints)
+                    return evaluator.penalty(design, level, rho, cutoff)
 
                 x, _, converged = pattern_search(
                     penalized, x, bounds, budget, used, extra_directions=extra
@@ -350,11 +420,7 @@ def goal_attain(
                 values = evaluator.values(design)
                 total = evaluator.squared_excess(values)
                 total += guard * max(0.0, evaluator.level(values) - cap)
-                if total >= cutoff:
-                    return total
-                values, constraints = evaluator(design)
-                total += rho * guard * evaluator.residual(values, constraints)
-                return total
+                return evaluator.penalty(design, total, rho * guard, cutoff)
 
             x, _, _ = pattern_search(lexicographic, x0, bounds, budget, used, extra_directions=extra)
             values, constraints = evaluator(x)
@@ -555,7 +621,10 @@ def orthoglide_geometry_problem(
     region to cover the target box, with a safety margin of
     ``CONSTRAINT_MARGIN_STEPS`` grid steps.  The grid is centered on the
     origin, spans ``EXTENT_FACTOR`` target extents per axis and has
-    ``EXTENT_FACTOR * resolution + 1`` nodes per axis.
+    ``EXTENT_FACTOR * resolution + 1`` nodes per axis.  The constraint's
+    upper bound is that value for the largest cuboid of the nodes that pass
+    the inverse kinematics alone, a superset of the region; on a grid of one
+    transmission block, its ``value`` sweeps the design from that IK.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or np.any(target <= 0.0):
@@ -580,6 +649,16 @@ def orthoglide_geometry_problem(
 
     margin = CONSTRAINT_MARGIN_STEPS * float(spec.steps[0])
 
+    def upper_bound(design: np.ndarray):
+        """``mu * a - a0`` of the largest cuboid of the IK-reachable nodes
+        (every node the transmission predicate passes is reachable), and
+        the constraint's value, from the predicate that keeps their IK."""
+        design = np.asarray(design, dtype=float)
+        predicate = predicate_factory(design)
+        reach = FeasibilityMask(predicate.reach(spec).reshape(spec.dims))
+        upper = float(largest_cuboid(reach, spec).mu * spec.proportions[0] - target[0])
+        return upper, lambda: workspace_constraint(design, lambda _: predicate, spec, target)
+
     def constraint_value(design: np.ndarray) -> float:
         return workspace_constraint(design, predicate_factory, spec, target)
 
@@ -599,7 +678,7 @@ def orthoglide_geometry_problem(
         combos.append(direction)
     return GoalProblem(
         objectives=objectives,
-        constraints=(WorkspaceConstraint(evaluate=constraint_value, bound=margin),),
+        constraints=(WorkspaceConstraint(evaluate=constraint_value, bound=margin, upper_bound=upper_bound),),
         bounds=bounds,
         poll_directions=tuple(combos),
     )

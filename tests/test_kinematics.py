@@ -448,3 +448,64 @@ class TestGridMask:
         with pytest.raises(TypeError, match="planted in the last block"):
             grid.evaluate_mask(spec, transmission_predicate(symmetric_geometry, cond_max=2.0))
         assert ragged in blocks and len(blocks) == 4
+
+
+def one_block_spec():
+    """A 23 x 21 x 25 grid around the symmetric geometry's workspace: one
+    transmission block."""
+    spec = grid.GridSpec(origin=(-0.9, -0.8, -0.85), proportions=(1.8, 1.6, 1.7), resolution=20, dims=(23, 21, 25))
+    assert spec.dims[0] * spec.dims[1] * spec.dims[2] <= TRANSMISSION_BLOCK_ROWS
+    return spec
+
+
+class TestReach:
+    """A transmission predicate's ``reach(spec)`` flags the grid's nodes that
+    pass the inverse kinematics; on a one-block grid the next ``mask(spec)``
+    starts from that IK."""
+
+    @pytest.mark.parametrize("make_spec", [one_block_spec, mask_spec])
+    def test_flags_equal_the_inverse_kinematics(self, symmetric_geometry, make_spec):
+        spec = make_spec()
+        predicate = transmission_predicate(symmetric_geometry, cond_max=2.0, sigma_range=(0.6, 1.8))
+        flags = predicate.reach(spec)
+        assert "_node_positions" not in vars(spec)  # no (N, 3) positions array was built
+        reachable, _ = kinematics.batch_inverse_kinematics(spec.node_positions(), symmetric_geometry)
+        assert 0 < reachable.sum() < reachable.size
+        assert flags.tobytes() == reachable.tobytes()
+        mask = predicate.mask(spec)
+        assert mask.sum() > 0 and not np.any(mask & ~flags)
+
+    @pytest.mark.parametrize("make_spec", [one_block_spec, mask_spec])
+    def test_mask_after_reach_equals_mask_alone(self, monkeypatch, symmetric_geometry, make_spec):
+        spec = make_spec()
+        alone = transmission_predicate(symmetric_geometry, cond_max=2.0).mask(spec)
+        ik = kinematics._batch_inverse_kinematics
+        calls = []
+
+        def counted(positions, geometry):
+            calls.append(len(positions))
+            return ik(positions, geometry)
+
+        monkeypatch.setattr(kinematics, "_batch_inverse_kinematics", counted)
+        predicate = transmission_predicate(symmetric_geometry, cond_max=2.0)
+        predicate.reach(spec)
+        reach_calls = len(calls)
+        assert predicate.mask(spec).tobytes() == alone.tobytes()
+        # the one-block grid's mask runs no IK of its own; a larger grid's does
+        nodes = spec.dims[0] * spec.dims[1] * spec.dims[2]
+        # (sorted: the blocks of a larger grid run on every CPU, in any order)
+        assert sorted(calls[reach_calls:]) == ([] if reach_calls == 1 else sorted(calls[:reach_calls]))
+        assert sum(calls[:reach_calls]) == nodes
+        # the kept IK is used up: a second mask runs its own
+        calls.clear()
+        assert predicate.mask(spec).tobytes() == alone.tobytes()
+        assert sum(calls) == nodes
+
+    def test_kept_ik_is_used_only_on_its_own_grid(self, symmetric_geometry):
+        spec = one_block_spec()
+        other = replace(spec, origin=spec.origin + 0.5 * spec.steps)
+        predicate = transmission_predicate(symmetric_geometry, cond_max=2.0)
+        predicate.reach(spec)
+        expected = transmission_predicate(symmetric_geometry, cond_max=2.0).mask(other)
+        assert 0 < expected.sum()
+        assert predicate.mask(other).tobytes() == expected.tobytes()

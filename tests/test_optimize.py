@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import on_cpus
 from pkmforge import kinematics, optimize
-from pkmforge.errors import Infeasible
+from pkmforge.errors import Infeasible, SingularJacobian
 from pkmforge.grid import GridSpec
 from pkmforge.optimize import (
     CACHE_QUANTUM,
+    CONSTRAINT_MARGIN_STEPS,
     GoalProblem,
     Objective,
     ParetoPoint,
@@ -140,7 +141,8 @@ class TestGoalAttain:
 
 def counting(problem):
     """``problem`` with its constraints wrapped to record every design they
-    are evaluated at; returns (problem, list of those designs)."""
+    are evaluated at, directly or through an upper bound's ``value``;
+    returns (problem, list of those designs)."""
     calls = []
 
     def wrap(constraint):
@@ -148,7 +150,16 @@ def counting(problem):
             calls.append(np.array(x, copy=True))
             return constraint.evaluate(x)
 
-        return WorkspaceConstraint(evaluate=evaluate, bound=constraint.bound)
+        def upper_bound(x):
+            upper, value = constraint.upper_bound(x)
+
+            def counted():
+                calls.append(np.array(x, copy=True))
+                return value()
+
+            return upper, counted
+
+        return replace(constraint, evaluate=evaluate, upper_bound=constraint.upper_bound and upper_bound)
 
     return replace(problem, constraints=tuple(wrap(c) for c in problem.constraints)), calls
 
@@ -221,6 +232,158 @@ class TestLazyConstraints:
         assert len(calls) < eager_calls
 
 
+def without_bounds(problem):
+    """``problem`` with every constraint's upper bound removed."""
+    return replace(problem, constraints=tuple(replace(c, upper_bound=None) for c in problem.constraints))
+
+
+BOUNDED_PROBLEMS = {name: LAZY_PROBLEMS[name] for name in ("orthoglide-1x1x0.8", "orthoglide-1x1x1")}
+
+
+def raise_linalg(*args):
+    raise np.linalg.LinAlgError("planted in the sweep")
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(sorted(BOUNDED_PROBLEMS)),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    fails=st.booleans(),
+)
+@example(name="orthoglide-1x1x0.8", unit=[0.0] * 6, fails=False)  # shortest legs and spans
+@example(name="orthoglide-1x1x1", unit=[1.0] * 6, fails=False)
+@example(name="orthoglide-1x1x1", unit=[0.5] * 6, fails=True)
+def never_above_the_bound(short, name, unit, fails):
+    """``evaluate(x) <= upper - short * step`` over designs of the problem's
+    box, where ``(upper, value) = upper_bound(x)`` and ``step`` is one grid
+    step (``a / N0``), and ``value()`` equals ``evaluate(x)``.  With
+    ``fails`` the sweep raises a LinAlgError, so the exact value is -inf."""
+    problem = BOUNDED_PROBLEMS[name]
+    constraint = problem.constraints[0]
+    lo, hi = problem.bounds.T
+    design = lo + np.array(unit) * (hi - lo)
+    upper, value = constraint.upper_bound(design)
+    with pytest.MonkeyPatch.context() as patch:
+        if fails:
+            patch.setattr(kinematics, "_sym_eigvals_3x3", raise_linalg)
+        exact = constraint.evaluate(design)
+        assert float(value()).hex() == float(exact).hex()
+    assert np.isfinite(upper)
+    assert (exact == -np.inf) == fails
+    assert exact <= upper - short * constraint.bound / CONSTRAINT_MARGIN_STEPS
+
+
+class TestReachableBound:
+    """The Orthoglide constraint's upper bound, the largest cuboid of the
+    IK-reachable nodes, never falls below the exact value, and skipping the
+    sweeps it rules out changes no result."""
+
+    def test_exact_value_never_exceeds_the_bound(self):
+        never_above_the_bound(short=0.0)
+
+    def test_a_bound_one_grid_step_short_fails_the_property(self):
+        # mu - 1 / N0 for the reachable cuboid's mu
+        with pytest.raises(AssertionError):
+            never_above_the_bound(short=1.0)
+
+    def test_each_bound_value_sweeps_its_own_design_from_its_ik(self, monkeypatch):
+        constraint = BOUNDED_PROBLEMS["orthoglide-1x1x0.8"].constraints[0]
+        designs = starts_for(BOUNDED_PROBLEMS["orthoglide-1x1x0.8"], 6, seed=11)
+        exact = [constraint.evaluate(x) for x in designs]
+        assert len(set(exact)) > 2
+        ik = kinematics._batch_inverse_kinematics
+        calls = []
+
+        def counted(positions, geometry):
+            calls.append(len(positions))
+            return ik(positions, geometry)
+
+        monkeypatch.setattr(kinematics, "_batch_inverse_kinematics", counted)
+        # every design bounded first, then the values taken in reverse order
+        values = [constraint.upper_bound(x)[1] for x in designs]
+        for value, expected in zip(values[::-1], exact[::-1]):
+            assert float(value()).hex() == float(expected).hex()
+        assert calls == [17**3] * len(designs)  # one block: one IK for a bound and its sweep
+        # a value taken twice has used its IK up, and sweeps afresh
+        assert float(values[0]()).hex() == float(exact[0]).hex()
+        assert calls == [17**3] * (len(designs) + 1)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=20)
+    @given(
+        name=st.sampled_from(sorted(BOUNDED_PROBLEMS)),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 3),
+        budget=st.sampled_from((13, 40, 150)) | st.integers(1, 150),
+    )
+    @example(name="orthoglide-1x1x0.8", seed=7, count=2, budget=13)  # the budget runs out mid-poll
+    @example(name="orthoglide-1x1x1", seed=3, count=1, budget=150)
+    def test_search_with_and_without_the_bound_alike(self, name, seed, count, budget):
+        problem = BOUNDED_PROBLEMS[name]
+        starts = starts_for(problem, count, seed)
+
+        def solve(p, s, b):
+            return goal_attain(p, s, budget=b)
+
+        assert outcome(solve, problem, starts, budget) == outcome(solve, without_bounds(problem), starts, budget)
+
+    def test_bound_skips_sweeps_and_keeps_exact_values(self, monkeypatch):
+        name = "orthoglide-1x1x0.8"
+        problem, calls = counting(BOUNDED_PROBLEMS[name])
+        starts = starts_for(problem, 2, seed=5)
+        plain = goal_attain(without_bounds(problem), starts, budget=150)
+        plain_calls = len(calls)
+        calls.clear()
+        evaluators = []
+
+        class Recorded(optimize._ProblemEvaluator):
+            def __init__(self, problem):
+                super().__init__(problem)
+                evaluators.append(self)
+
+        monkeypatch.setattr(optimize, "_ProblemEvaluator", Recorded)
+        bounded = goal_attain(problem, starts, budget=150)
+        assert bounded.evaluations == plain.evaluations == len(evaluators[0].designs)
+        # sweeps that the objective-only cutoff runs, skipped by the bound
+        assert len(calls) < plain_calls
+        (evaluator,) = evaluators
+        assert set(evaluator.bounds) - set(evaluator.constraints)
+        for key, constraints in evaluator.constraints.items():
+            first = evaluator.designs[key][0]
+            assert constraints.tobytes() == np.array([problem.constraints[0].evaluate(first)]).tobytes()
+
+    def test_type_error_in_the_bound_propagates(self):
+        def broken(x):
+            raise TypeError("deliberate")
+
+        (constraint,) = BOUNDED_PROBLEMS["orthoglide-1x1x1"].constraints
+        problem = replace(BOUNDED_PROBLEMS["orthoglide-1x1x1"], constraints=(replace(constraint, upper_bound=broken),))
+        with pytest.raises(TypeError, match="deliberate"):
+            goal_attain(problem, starts_for(problem, 1), budget=40)
+
+    @pytest.mark.parametrize("error", [Infeasible, SingularJacobian, np.linalg.LinAlgError])
+    def test_numeric_failure_in_the_bound_rules_nothing_out(self, error):
+        failures = []
+
+        def failing(x):
+            failures.append(x)
+            raise error("no bound here")
+
+        plain, plain_calls = counting(without_bounds(BOUNDED_PROBLEMS["orthoglide-1x1x1"]))
+        (constraint,) = plain.constraints
+        problem = replace(plain, constraints=(replace(constraint, upper_bound=failing),))
+        starts = starts_for(problem, 2, seed=4)
+
+        def solve(p, s, b):
+            return goal_attain(p, s, budget=b)
+
+        expected = outcome(solve, plain, starts, 60)
+        sweeps = len(plain_calls)
+        plain_calls.clear()
+        assert outcome(solve, problem, starts, 60) == expected
+        assert len(failures) > 0
+        assert len(plain_calls) == sweeps
+
+
 class TestProblemEvaluator:
     def problem(self):
         objectives = tuple(
@@ -244,6 +407,43 @@ class TestProblemEvaluator:
         assert constraints.tolist() == [first[0] - first[1]]
         evaluator(first)
         assert evaluator.evaluations == 1 and len(calls) == 1
+
+    def test_bound_that_rules_a_trial_out_is_not_a_value(self):
+        problem, calls = self.problem()
+        (constraint,) = problem.constraints
+        bounds, finished = [], []
+
+        def upper_bound(x):
+            bounds.append(np.array(x, copy=True))
+
+            def value():
+                finished.append(np.array(x, copy=True))
+                return constraint.evaluate(x)
+
+            return float(x[0] - x[1]) + 0.25, value
+
+        problem = replace(problem, constraints=(replace(constraint, upper_bound=upper_bound),))
+        evaluator = _ProblemEvaluator(problem)
+        first = np.array([0.25, 1.5])
+        # residual at the bound: max(0, 0 - (-1.25 + 0.25)) = 1
+        assert evaluator.penalty(first, 0.5, 3.0, 2.0) == 0.5 + 3.0 * 1.0
+        assert evaluator.evaluations == 1 and calls == [] and len(bounds) == 1
+        assert evaluator.constraints == {} and list(evaluator.bounds.values())[0].tolist() == [-1.0]
+        # a higher cutoff needs the exact value, at the key's first design
+        near = first + 0.2 * CACHE_QUANTUM
+        assert evaluator.penalty(near, 0.5, 3.0, 10.0) == 0.5 + 3.0 * 1.25
+        assert evaluator.evaluations == 1 and len(bounds) == 1
+        assert len(calls) == 1 and calls[0].tobytes() == first.tobytes()
+        # known values answer without the bound; the part alone still cuts off
+        assert evaluator.penalty(first, 0.5, 3.0, 2.0) == 0.5 + 3.0 * 1.25
+        assert evaluator.penalty(np.array([1.0, 1.0]), 2.0, 3.0, 2.0) == 2.0
+        assert len(calls) == 1 and len(bounds) == 1 and evaluator.evaluations == 1
+        assert finished == []
+        # a trial that its fresh bound does not rule out takes the bound's value
+        other = np.array([1.0, 0.5])
+        assert evaluator.penalty(other, 0.5, 3.0, 10.0) == 0.5
+        assert len(bounds) == 2 and len(finished) == 1 and finished[0].tobytes() == other.tobytes()
+        assert len(calls) == 2 and evaluator.constraints[evaluator._key(other)].tolist() == [0.5]
 
     def test_values_then_call_counts_once(self):
         problem, calls = self.problem()
