@@ -87,7 +87,11 @@ class GoalProblem:
         bounds = np.asarray(self.bounds, dtype=float)
         if len(objectives) == 0:
             raise ValueError("need at least one objective")
-        weights = np.array([o.weight for o in objectives])
+        goals = np.array([o.goal for o in objectives], dtype=float)
+        weights = np.array([o.weight for o in objectives], dtype=float)
+        for name, array in (("goals", goals), ("weights", weights), ("bounds", bounds)):
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{name} must be finite, got {array.tolist()}")
         if np.any(weights < 0.0) or not np.any(weights > 0.0):
             raise ValueError("weights must be >= 0 and not all zero")
         if bounds.ndim != 2 or bounds.shape[1] != 2:
@@ -164,20 +168,19 @@ class _ProblemEvaluator:
     computed only when first asked for, at the first design stored under the
     key, so a design within ``CACHE_QUANTUM`` of an earlier one shares that
     design's values whichever way either was reached.  The constraints'
-    upper bounds (``WorkspaceConstraint.upper_bound``) are cached per key
-    the same way but apart: a bound is never a constraint value, and
-    computing one is not an evaluation.  A bound's ``value`` functions are
-    not cached: only the trial that computed the bound may use them.
+    upper bounds (``WorkspaceConstraint.upper_bound``) are not kept: a bound
+    is never a constraint value, and computing one is not an evaluation.
     """
 
     def __init__(self, problem: GoalProblem):
         self.problem = problem
-        # key -> (first design, its objectives); key -> its constraints;
-        # key -> its constraints' upper bounds
+        # key -> (first design, its objectives); key -> its constraints
         self.designs: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self.constraints: dict[tuple[int, ...], np.ndarray] = {}
-        self.bounds: dict[tuple[int, ...], np.ndarray] = {}
-        self.evaluations = 0
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.designs)
 
     def _key(self, x: np.ndarray) -> tuple[int, ...]:
         return tuple(int(v) for v in np.round(x / CACHE_QUANTUM))
@@ -187,7 +190,6 @@ class _ProblemEvaluator:
         if hit is not None:
             return hit
         values = np.array([o.evaluate(x) for o in self.problem.objectives], dtype=float)
-        self.evaluations += 1
         self.designs[key] = (x, values)
         return x, values
 
@@ -230,15 +232,11 @@ class _ProblemEvaluator:
         first, values = self._design(key, x)
         constraints = self.constraints.get(key)
         if constraints is None:
-            bounds, finish = self.bounds.get(key), None
-            if bounds is None:
-                pairs = [_upper_bound(c, first) for c in self.problem.constraints]
-                bounds = self.bounds[key] = np.array([upper for upper, _ in pairs], dtype=float)
-                finish = [value for _, value in pairs]
-            bounded = part + mult * self.residual(values, bounds)
+            pairs = [_upper_bound(c, first) for c in self.problem.constraints]
+            bounded = part + mult * self.residual(values, np.array([upper for upper, _ in pairs]))
             if bounded >= cutoff:
                 return bounded
-            constraints = self._constraints(key, first, finish)
+            constraints = self._constraints(key, first, [value for _, value in pairs])
         return part + mult * self.residual(values, constraints)
 
     def residual(self, values: np.ndarray, constraints: np.ndarray) -> float:
@@ -368,10 +366,9 @@ def goal_attain(
     so a trial whose objective part already reaches its poll's running best
     cannot win and is answered without computing its constraints; so is a
     trial whose objective part plus the term at its constraints' upper
-    bounds reaches it (``WorkspaceConstraint.upper_bound``, cached per
-    design apart from the constraint values; a bound is not an evaluation).
-    A trial that still needs its constraints takes them from its bounds'
-    ``value`` functions.
+    bounds reaches it (``WorkspaceConstraint.upper_bound``; a bound is not
+    an evaluation).  A trial that still needs its constraints takes them
+    from its bounds' ``value`` functions.
     Every exception but the PkmforgeError or LinAlgError of an upper bound
     (``+inf``, which rules nothing out) propagates.
     Raises Infeasible when no start reaches a feasible design within its
@@ -629,9 +626,11 @@ def orthoglide_geometry_problem(
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or np.any(target <= 0.0):
         raise ValueError(f"target must be three positive extents, got {target}")
+    ranges = {"sigma range": sigma_range, "length bounds": length_bounds, "span bounds": span_bounds}
+    for name, (lo, hi) in ranges.items():
+        if not 0.0 < lo < hi:
+            raise ValueError(f"{name} must satisfy 0 < lo < hi, got {(lo, hi)}")
     lo, hi = sigma_range
-    if not 0.0 < lo < hi:
-        raise ValueError(f"sigma range must satisfy 0 < lo < hi, got {sigma_range}")
 
     dims = tuple(int(round(EXTENT_FACTOR * resolution)) + 1 for _ in range(3))
     origin = -0.5 * EXTENT_FACTOR * target

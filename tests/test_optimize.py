@@ -333,6 +333,14 @@ class TestReachableBound:
         plain = goal_attain(without_bounds(problem), starts, budget=150)
         plain_calls = len(calls)
         calls.clear()
+        (constraint,) = problem.constraints
+        asked = []
+
+        def upper_bound(x):
+            asked.append(np.array(x, copy=True))
+            return constraint.upper_bound(x)
+
+        problem = replace(problem, constraints=(replace(constraint, upper_bound=upper_bound),))
         evaluators = []
 
         class Recorded(optimize._ProblemEvaluator):
@@ -346,10 +354,22 @@ class TestReachableBound:
         # sweeps that the objective-only cutoff runs, skipped by the bound
         assert len(calls) < plain_calls
         (evaluator,) = evaluators
-        assert set(evaluator.bounds) - set(evaluator.constraints)
+        assert bounded.evaluations == evaluator.evaluations
+        # every bound is asked for at its key's first design, and a key that
+        # its bound ruled out asks again when it is polled again
+        asked_keys = [evaluator._key(x) for x in asked]
+        for key, x in zip(asked_keys, asked):
+            assert x.tobytes() == evaluator.designs[key][0].tobytes()
+        ruled_out = set(asked_keys) - set(evaluator.constraints)
+        assert ruled_out and any(asked_keys.count(key) > 1 for key in ruled_out)
+        # each key's constraints are computed at most once, at its first design
+        swept = [evaluator._key(x) for x in calls]
+        assert len(swept) == len(set(swept)) == len(evaluator.constraints)
+        for key, x in zip(swept, calls):
+            assert x.tobytes() == evaluator.designs[key][0].tobytes()
         for key, constraints in evaluator.constraints.items():
             first = evaluator.designs[key][0]
-            assert constraints.tobytes() == np.array([problem.constraints[0].evaluate(first)]).tobytes()
+            assert constraints.tobytes() == np.array([constraint.evaluate(first)]).tobytes()
 
     def test_type_error_in_the_bound_propagates(self):
         def broken(x):
@@ -428,22 +448,28 @@ class TestProblemEvaluator:
         # residual at the bound: max(0, 0 - (-1.25 + 0.25)) = 1
         assert evaluator.penalty(first, 0.5, 3.0, 2.0) == 0.5 + 3.0 * 1.0
         assert evaluator.evaluations == 1 and calls == [] and len(bounds) == 1
-        assert evaluator.constraints == {} and list(evaluator.bounds.values())[0].tolist() == [-1.0]
-        # a higher cutoff needs the exact value, at the key's first design
+        assert evaluator.constraints == {} and finished == []
+        # polled again, the ruled-out key asks for its bound again, at its first design
         near = first + 0.2 * CACHE_QUANTUM
+        assert evaluator.penalty(near, 0.5, 3.0, 2.0) == 0.5 + 3.0 * 1.0
+        assert len(bounds) == 2 and bounds[1].tobytes() == first.tobytes()
+        assert evaluator.evaluations == 1 and calls == [] and evaluator.constraints == {}
+        # a higher cutoff needs the exact value: the trial's own bound's value, at the first design
         assert evaluator.penalty(near, 0.5, 3.0, 10.0) == 0.5 + 3.0 * 1.25
-        assert evaluator.evaluations == 1 and len(bounds) == 1
+        assert len(bounds) == 3 and len(finished) == 1 and finished[0].tobytes() == first.tobytes()
         assert len(calls) == 1 and calls[0].tobytes() == first.tobytes()
-        # known values answer without the bound; the part alone still cuts off
+        # known values answer without a bound; the part alone still cuts off
         assert evaluator.penalty(first, 0.5, 3.0, 2.0) == 0.5 + 3.0 * 1.25
+        assert evaluator.penalty(near, 0.5, 3.0, 10.0) == 0.5 + 3.0 * 1.25
         assert evaluator.penalty(np.array([1.0, 1.0]), 2.0, 3.0, 2.0) == 2.0
-        assert len(calls) == 1 and len(bounds) == 1 and evaluator.evaluations == 1
-        assert finished == []
-        # a trial that its fresh bound does not rule out takes the bound's value
+        assert len(calls) == 1 and len(bounds) == 3 and len(finished) == 1
+        assert evaluator.evaluations == len(evaluator.designs) == 1
+        # a trial that its bound does not rule out takes the bound's value
         other = np.array([1.0, 0.5])
         assert evaluator.penalty(other, 0.5, 3.0, 10.0) == 0.5
-        assert len(bounds) == 2 and len(finished) == 1 and finished[0].tobytes() == other.tobytes()
+        assert len(bounds) == 4 and len(finished) == 2 and finished[1].tobytes() == other.tobytes()
         assert len(calls) == 2 and evaluator.constraints[evaluator._key(other)].tolist() == [0.5]
+        assert evaluator.evaluations == len(evaluator.designs) == 2
 
     def test_values_then_call_counts_once(self):
         problem, calls = self.problem()
@@ -715,6 +741,11 @@ class TestOrthoglideProblem:
             orthoglide_geometry_problem((1.0, -1.0, 0.8), (0.5, 2.0))
         with pytest.raises(ValueError):
             orthoglide_geometry_problem((1.0, 1.0, 0.8), (2.0, 0.5))
+        # a zero length or span would otherwise fail inside every evaluation
+        for field in ("length_bounds", "span_bounds"):
+            for pair in ((0.0, 3.0), (-0.5, 3.0), (2.0, 1.0), (1.0, 1.0), (np.nan, 3.0)):
+                with pytest.raises(ValueError, match=field.replace("_", " ")):
+                    orthoglide_geometry_problem((1.0, 1.0, 0.8), (0.5, 2.0), **{field: pair})
 
 
 class TestProblemValidation:
@@ -745,6 +776,29 @@ class TestProblemValidation:
                 constraints=(),
                 bounds=np.array([[1.0, 1.0]]),
             )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["goal", "weight"])
+    def test_rejects_non_finite_goals_and_weights(self, field, value):
+        # a NaN goal makes the level NaN; an infinite goal or a non-finite
+        # weight drops its objective from the level
+        first = Objective(lambda x: float((x[0] - 1.0) ** 2), goal=0.0, weight=1.0)
+        second = Objective(lambda x: float((x[0] + 1.0) ** 2), goal=0.0, weight=1.0)
+        with pytest.raises(ValueError, match=f"{field}s must be finite"):
+            GoalProblem((replace(first, **{field: value}), second), (), np.array([[-3.0, 3.0]]))
+        problem, _ = analytic_preset("symmetric_quadratics")
+        if field == "weight":
+            with pytest.raises(ValueError, match="weights must be finite"):
+                problem.with_weights([1.0, value])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_non_finite_bounds(self, side, value):
+        bounds = np.array([[-3.0, 3.0]])
+        bounds[0, side] = value
+        objective = Objective(lambda x: float(x[0] ** 2), goal=0.0, weight=1.0)
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            GoalProblem((objective,), (), bounds)
 
 
 class TestProblemIdentity:
