@@ -9,7 +9,7 @@ goal-attainment multi-objective formulation.
 
 Modules:
 - kinematics: IK/FK, Jacobian, velocity transmission factors
-- grid:       voxel grid, feasibility masks, largest-cuboid dynamic program
+- grid:       voxel grid, feasibility masks, largest-cuboid doubling search
 - stiffness:  virtual-joint elastostatics and deflection predicates
 - dynamics:   inertia ellipsoid norm and acceleration capability predicates
 - optimize:   goal attainment, Pareto sweeps, the geometry design problem

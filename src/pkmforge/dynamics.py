@@ -18,7 +18,7 @@ import numpy as np
 
 from ._spectral import sym_eigvals_3x3
 from .errors import SingularJacobian
-from .grid import ScalarField, ThresholdPredicate, _ValueSemantics, sweep_blocks
+from .grid import ScalarField, ThresholdPredicate, _finite, _ValueSemantics, sweep_blocks
 from .kinematics import GeometryParams, batch_rate_matrices, inverse_kinematics, jacobian
 
 _SIGMA_FLOOR = 1e-10
@@ -33,12 +33,8 @@ class InertiaModel(_ValueSemantics):
     tcp_mass: float
 
     def __post_init__(self):
-        masses = np.asarray(self.joint_masses, dtype=float)
-        if masses.shape != (3,) or np.any(masses <= 0.0):
-            raise ValueError(f"joint_masses must be three positive values: {masses}")
-        if not self.tcp_mass > 0.0:
-            raise ValueError("tcp_mass must be positive")
-        object.__setattr__(self, "joint_masses", masses)
+        object.__setattr__(self, "joint_masses", _finite("joint_masses", self.joint_masses, (3,), positive=True))
+        _finite("tcp_mass", self.tcp_mass, positive=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +48,10 @@ class DynamicSpec(_ValueSemantics):
     acceleration_mode: str = "ball"
 
     def __post_init__(self):
-        if not self.inertia_bound > 0.0:
-            raise ValueError("inertia_bound must be positive")
-        if self.min_acceleration < 0.0:
+        _finite("inertia_bound", self.inertia_bound, positive=True)
+        if _finite("min_acceleration", self.min_acceleration) < 0.0:
             raise ValueError("min_acceleration must be >= 0")
-        limits = np.asarray(self.torque_limits, dtype=float)
-        if limits.shape != (3,) or np.any(limits <= 0.0):
-            raise ValueError(f"torque_limits must be three positive values: {limits}")
+        limits = _finite("torque_limits", self.torque_limits, (3,), positive=True)
         if self.acceleration_mode not in ("ball", "max"):
             raise ValueError(f"acceleration_mode must be 'ball' or 'max', got {self.acceleration_mode!r}")
         object.__setattr__(self, "torque_limits", limits)
@@ -226,7 +219,7 @@ def acceleration_field(
     writes its values at those rows."""
     if mode not in ("ball", "max"):
         raise ValueError(f"mode must be 'ball' or 'max', got {mode!r}")
-    limits = np.asarray(torque_limits, dtype=float)
+    limits = _finite("torque_limits", torque_limits, (3,), positive=True)
 
     def scalar(position):
         rho = inverse_kinematics(position, geometry)

@@ -21,6 +21,7 @@ search.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -60,6 +61,31 @@ class _ValueSemantics:
         return hash(self._value_key())
 
 
+def _finite(name: str, value, shape: tuple = (), positive: bool = False) -> np.ndarray:
+    """``value`` as a float array of ``shape``, every entry finite, and
+    positive when ``positive``; otherwise a ValueError naming ``name``.
+
+    The one check of every model input: NaN passes a bare ``<= 0.0`` or
+    ``< 0.0`` test and +-inf passes any sign test, and either would read
+    as an empty or a full workspace instead of failing.
+    """
+    array = np.asarray(value, dtype=float)
+    if array.shape != tuple(shape):
+        raise ValueError(f"{name} must have shape {tuple(shape)}, got {array.shape}")
+    if not (np.isfinite(array).all() and (not positive or (array > 0.0).all())):
+        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {array.tolist()}")
+    return array
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int when it is an integer or an integral real, not a
+    bool or a string; otherwise a ValueError naming ``name``."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be integral, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec(_ValueSemantics):
     """Axis-aligned node grid with steps tied to the cuboid proportions.
@@ -78,22 +104,18 @@ class GridSpec(_ValueSemantics):
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=float)
-        props = np.asarray(self.proportions, dtype=float)
-        dims = tuple(int(d) for d in np.asarray(self.dims).ravel())
-        if origin.shape != (3,) or props.shape != (3,):
-            raise ValueError("origin and proportions must be 3-vectors")
-        if not (np.isfinite(origin).all() and np.isfinite(props).all()):
-            raise ValueError(f"origin and proportions must be finite: {origin}, {props}")
-        if np.any(props <= 0.0):
-            raise ValueError(f"proportions must be positive: {props}")
-        if int(self.resolution) < 1:
+        origin = _finite("origin", self.origin, (3,))
+        props = _finite("proportions", self.proportions, (3,), positive=True)
+        resolution = _whole("resolution", self.resolution)
+        # dtype=object keeps each entry's own type, so a bool or a string is seen
+        dims = tuple(_whole("dims", d) for d in np.asarray(self.dims, dtype=object).ravel())
+        if resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if len(dims) != 3 or any(d < 2 for d in dims):
             raise ValueError(f"dims must be three counts >= 2, got {dims}")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "proportions", props)
-        object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -226,13 +248,16 @@ class ThresholdPredicate:
     """Feasibility predicate ``field <= bound`` (or >= for lower bounds) over
     (N, 3) positions, through the field's batch path; NaN field values compare
     False either way, so they are infeasible.  ``map`` gives the field's
-    values and the flags from one sweep, ``batch`` the flags alone."""
+    values and the flags from one sweep, ``batch`` the flags alone.  The
+    bound may be +-inf but not NaN, which would flag every node False."""
 
     def __init__(self, field: ScalarField, bound: float, feasible_when: str = "below"):
         if feasible_when not in ("below", "above"):
             raise ValueError(f"feasible_when must be 'below' or 'above', got {feasible_when!r}")
         self.field = field
         self.bound = float(bound)
+        if np.isnan(self.bound):
+            raise ValueError("bound must not be NaN")
         self.feasible_when = feasible_when
 
     def map(self, positions: np.ndarray):

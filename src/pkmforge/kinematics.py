@@ -20,7 +20,7 @@ import numpy as np
 
 from ._spectral import sym_eigvals_3x3
 from .errors import Infeasible, NoConvergence, Singular
-from .grid import _ValueSemantics, sweep_blocks, sweep_grid
+from .grid import _finite, _ValueSemantics, sweep_blocks, sweep_grid
 
 # cyclic index triples (i, j, k) for the three legs
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -30,15 +30,6 @@ CONDITION_LIMIT = 1e12
 # rows per transmission sweep block, run on every CPU: a block's temporaries
 # peak at about 170 bytes a row (11 MB), all a mask holds besides its flags
 TRANSMISSION_BLOCK_ROWS = 1 << 16
-
-
-def _vec3(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite components: {v}")
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,15 +48,11 @@ class GeometryParams(_ValueSemantics):
     assembly_signs: np.ndarray = (-1.0, -1.0, -1.0)
 
     def __post_init__(self):
-        lengths = _vec3(self.leg_lengths, "leg_lengths")
-        if np.any(lengths <= 0.0):
-            raise ValueError(f"leg_lengths must be positive: {lengths}")
-        limits = np.asarray(self.joint_limits, dtype=float)
-        if limits.shape != (3, 2):
-            raise ValueError(f"joint_limits must have shape (3, 2), got {limits.shape}")
+        lengths = _finite("leg_lengths", self.leg_lengths, (3,), positive=True)
+        limits = _finite("joint_limits", self.joint_limits, (3, 2))
         if np.any(limits[:, 0] >= limits[:, 1]):
             raise ValueError("joint_limits must satisfy lower < upper per axis")
-        signs = _vec3(self.assembly_signs, "assembly_signs")
+        signs = _finite("assembly_signs", self.assembly_signs, (3,))
         if not np.all(np.abs(signs) == 1.0):
             raise ValueError(f"assembly_signs must be -1 or +1: {signs}")
         object.__setattr__(self, "leg_lengths", lengths)
@@ -86,8 +73,8 @@ class KinematicSample(_ValueSemantics):
 
 def leg_residuals(p: np.ndarray, rho: np.ndarray, geometry: GeometryParams) -> np.ndarray:
     """Sphere-constraint residual per leg; zero on a consistent pose."""
-    p = _vec3(p, "p")
-    rho = _vec3(rho, "rho")
+    p = _finite("p", p, (3,))
+    rho = _finite("rho", rho, (3,))
     res = np.empty(3)
     for i, j, k in _CYCLIC:
         res[i] = (p[i] - rho[i]) ** 2 + p[j] ** 2 + p[k] ** 2 - geometry.leg_lengths[i] ** 2
@@ -100,7 +87,7 @@ def inverse_kinematics(p, geometry: GeometryParams) -> np.ndarray:
     Raises Infeasible when the point is outside a leg's reach or the
     resulting drive coordinate violates the joint limits.
     """
-    p = _vec3(p, "p")
+    p = _finite("p", p, (3,))
     rho = np.empty(3)
     for i, j, k in _CYCLIC:
         radicand = geometry.leg_lengths[i] ** 2 - p[j] ** 2 - p[k] ** 2
@@ -136,8 +123,8 @@ def forward_kinematics(
     ``residual_scale * L_i**2``.  Raises NoConvergence when the iteration cap
     is reached or the constraint Jacobian turns singular at an iterate.
     """
-    rho = _vec3(rho, "rho")
-    p = _vec3(p_init, "p_init").copy()
+    rho = _finite("rho", rho, (3,))
+    p = _finite("p_init", p_init, (3,)).copy()
     tol = residual_scale * geometry.leg_lengths**2
 
     res = leg_residuals(p, rho, geometry)
@@ -174,8 +161,8 @@ def rate_matrix(p, rho) -> np.ndarray:
     Entry (i, j) for j != i is ``p_j / (p_i - rho_i)``.  Raises Singular when
     any denominator is below ``DENOMINATOR_EPS`` in magnitude.
     """
-    p = _vec3(p, "p")
-    rho = _vec3(rho, "rho")
+    p = _finite("p", p, (3,))
+    rho = _finite("rho", rho, (3,))
     m = np.eye(3)
     for i, j, k in _CYCLIC:
         den = p[i] - rho[i]
@@ -201,7 +188,7 @@ def kinematic_sample(p, geometry: GeometryParams) -> KinematicSample:
     sigma_min / sigma_max are the extreme singular values of J (computed from
     the symmetric eigenvalues of J.T @ J); cond is their ratio.
     """
-    p = _vec3(p, "p")
+    p = _finite("p", p, (3,))
     rho = inverse_kinematics(p, geometry)
     jac = jacobian(p, rho)
     lo, _, hi = sym_eigvals_3x3(jac.T @ jac)
@@ -504,6 +491,8 @@ def transmission_predicate(
     """
     if cond_max is None and sigma_range is None:
         raise ValueError("need cond_max, sigma_range, or both")
+    if cond_max is not None:
+        _finite("cond_max", cond_max, positive=True)
     if sigma_range is not None and not 0.0 < sigma_range[0] < sigma_range[1]:
         raise ValueError(f"sigma range must satisfy 0 < lo < hi, got {tuple(sigma_range)}")
     return _TransmissionPredicate(geometry, cond_max, sigma_range)

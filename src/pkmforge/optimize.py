@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import Infeasible, PkmforgeError
-from .grid import FeasibilityMask, GridSpec, _ValueSemantics, evaluate_mask, largest_cuboid, parallel_map
+from .grid import FeasibilityMask, GridSpec, _finite, _ValueSemantics, evaluate_mask, largest_cuboid, parallel_map
 from .kinematics import GeometryParams, transmission_predicate
 
 LAMBDA_TOL = 1e-6
@@ -87,15 +87,13 @@ class GoalProblem:
         bounds = np.asarray(self.bounds, dtype=float)
         if len(objectives) == 0:
             raise ValueError("need at least one objective")
-        goals = np.array([o.goal for o in objectives], dtype=float)
-        weights = np.array([o.weight for o in objectives], dtype=float)
-        for name, array in (("goals", goals), ("weights", weights), ("bounds", bounds)):
-            if not np.all(np.isfinite(array)):
-                raise ValueError(f"{name} must be finite, got {array.tolist()}")
+        _finite("goals", [o.goal for o in objectives], (len(objectives),))
+        weights = _finite("weights", [o.weight for o in objectives], (len(objectives),))
         if np.any(weights < 0.0) or not np.any(weights > 0.0):
             raise ValueError("weights must be >= 0 and not all zero")
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise ValueError(f"bounds must have shape (n, 2), got {bounds.shape}")
+        _finite("bounds", bounds, bounds.shape)
         if np.any(bounds[:, 0] >= bounds[:, 1]):
             raise ValueError("bounds must satisfy lower < upper")
         object.__setattr__(self, "objectives", objectives)
@@ -623,9 +621,7 @@ def orthoglide_geometry_problem(
     the inverse kinematics alone, a superset of the region; on a grid of one
     transmission block, its ``value`` sweeps the design from that IK.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape != (3,) or np.any(target <= 0.0):
-        raise ValueError(f"target must be three positive extents, got {target}")
+    target = _finite("target", target, (3,), positive=True)
     ranges = {"sigma range": sigma_range, "length bounds": length_bounds, "span bounds": span_bounds}
     for name, (lo, hi) in ranges.items():
         if not 0.0 < lo < hi:

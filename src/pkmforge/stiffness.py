@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInput, Infeasible, SingularStiffness, SingularSystem
-from .grid import ScalarField, ThresholdPredicate, _ValueSemantics, sweep_blocks
+from .grid import ScalarField, ThresholdPredicate, _finite, _ValueSemantics, sweep_blocks
 from .kinematics import (
     GeometryParams,
     batch_inverse_kinematics,
@@ -67,6 +67,8 @@ class ChainModel(_ValueSemantics):
             raise ValueError(f"passive joint count must be < 6, got {j_p.shape[1]}")
         if k_s.shape != (j_s.shape[1], j_s.shape[1]):
             raise ValueError(f"spring matrix shape {k_s.shape} does not match {j_s.shape[1]} joints")
+        for name, array in (("j_virtual", j_s), ("j_passive", j_p), ("k_virtual", k_s)):
+            _finite(name, array, array.shape)
         scale = np.abs(k_s).max()
         if scale <= 0.0 or np.abs(k_s - k_s.T).max() > 1e-10 * scale:
             raise ValueError("spring matrix must be symmetric")
@@ -91,9 +93,7 @@ class CartesianStiffness(_ValueSemantics):
     matrix: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.matrix, dtype=float)
-        if k.shape != (WRENCH_SIZE, WRENCH_SIZE):
-            raise ValueError(f"stiffness must be 6x6, got {k.shape}")
+        k = _finite("matrix", self.matrix, (WRENCH_SIZE, WRENCH_SIZE))
         scale = max(np.abs(k).max(), 1e-300)
         if np.abs(k - k.T).max() > 1e-8 * scale:
             raise ValueError("stiffness matrix must be symmetric")
@@ -118,8 +118,7 @@ class CrossSection:
 
     def __post_init__(self):
         for name in ("width", "height", "elastic_modulus", "shear_modulus"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            _finite(name, getattr(self, name), positive=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +130,8 @@ class StiffnessSpec(_ValueSemantics):
     deflection_limit: float
 
     def __post_init__(self):
-        f = np.asarray(self.load, dtype=float)
-        if f.shape != (WRENCH_SIZE,):
-            raise ValueError(f"load must be a 6-vector, got shape {f.shape}")
-        if not self.deflection_limit > 0.0:
-            raise ValueError("deflection_limit must be positive")
-        object.__setattr__(self, "load", f)
+        object.__setattr__(self, "load", _finite("load", self.load, (WRENCH_SIZE,)))
+        _finite("deflection_limit", self.deflection_limit, positive=True)
 
 
 def _compliance(j_virtual: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
@@ -223,8 +218,7 @@ def beam_spring(section: CrossSection, length: float) -> np.ndarray:
     classical tip-stiffness block (12EI/L^3, 6EI/L^2, 4EI/L) with the
     beta = 1/3 thin-strip torsion constant approximation.
     """
-    if length <= 0.0:
-        raise ValueError("length must be positive")
+    _finite("length", length, positive=True)
     b, h = section.width, section.height
     e_mod, g_mod = section.elastic_modulus, section.shear_modulus
     area = b * h
@@ -246,8 +240,7 @@ def beam_spring(section: CrossSection, length: float) -> np.ndarray:
 
 def scale_cross_section(section: CrossSection, factor: float) -> CrossSection:
     """Scale width by ``factor`` and height by ``1/factor`` (area preserved)."""
-    if factor <= 0.0:
-        raise ValueError("scale factor must be positive")
+    _finite("factor", factor, positive=True)
     return replace(section, width=section.width * factor, height=section.height / factor)
 
 
@@ -287,8 +280,8 @@ class OrthoglideStiffnessModel(_ValueSemantics):
     parallelogram_section: CrossSection
 
     def __post_init__(self):
-        if self.actuator_stiffness <= 0.0 or self.foot_length <= 0.0:
-            raise ValueError("actuator_stiffness and foot_length must be positive")
+        _finite("actuator_stiffness", self.actuator_stiffness, positive=True)
+        _finite("foot_length", self.foot_length, positive=True)
 
     def _spring_matrix(self, leg: int) -> np.ndarray:
         k = np.zeros((13, 13))

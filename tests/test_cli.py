@@ -16,7 +16,7 @@ from conftest import on_cpus
 from pkmforge import cli as cli_module
 from pkmforge import kinematics
 from pkmforge.cli import main
-from pkmforge.config import build_geometry, build_grid, default_config, validate_config
+from pkmforge.config import ConfigError, build_geometry, build_grid, default_config, validate_config
 from pkmforge.grid import load_mask
 from pkmforge.optimize import goal_attain, latin_hypercube, orthoglide_geometry_problem, pareto_sweep
 from pkmforge.stiffness import OrthoglideStiffnessModel
@@ -172,6 +172,29 @@ class TestExitCodes:
         assert "config value rejected" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "path, value, criterion",
+        [
+            pytest.param(("dynamics", "min_acceleration"), math.nan, "acceleration", id="nan-min-acceleration"),
+            pytest.param(("dynamics", "torque_limits", 2), math.nan, "acceleration", id="nan-torque-limits"),
+            pytest.param(("dynamics", "joint_masses", 0), math.nan, "gie", id="nan-joint-masses"),
+            pytest.param(("stiffness", "actuator_stiffness"), math.nan, "stiffness", id="nan-actuator-stiffness"),
+            pytest.param(("stiffness", "parallelogram_section", "width"), math.nan, "stiffness", id="nan-width"),
+            pytest.param(("kinematic", "cond_max"), math.nan, "kinematic", id="nan-cond-max"),
+            pytest.param(("geometry", "joint_limits", 0, 1), math.nan, "kinematic", id="nan-joint-limits"),
+            pytest.param(("stiffness", "deflection_limit"), math.inf, "stiffness", id="inf-deflection-limit"),
+        ],
+    )
+    def test_non_finite_dict_value_is_config_error(self, path, value, criterion):
+        # a dict skips the JSON reader's NaN/Infinity refusal, and the schema's
+        # minimum tests pass NaN; each read mu = 0, or inf mu = 1, before
+        config = default_config()
+        *keys, last = path
+        functools.reduce(operator.getitem, keys, config)[last] = value
+        config = validate_config(config)
+        with pytest.raises(ConfigError, match="config value rejected"):
+            cli_module._criterion(config, criterion)
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             pytest.param(("grid", "origin", 0), math.nan, id="nan-origin"),
@@ -181,7 +204,7 @@ class TestExitCodes:
             pytest.param(("dynamics", "min_acceleration"), math.nan, id="nan-min-acceleration"),
             pytest.param(("dynamics", "joint_masses", 0), math.nan, id="nan-joint-masses"),
             pytest.param(("stiffness", "load", 1), math.nan, id="nan-load"),
-            pytest.param(("stiffness", "parallelogram_section", "width"), math.nan, id="nan-section-width"),
+            pytest.param(("stiffness", "parallelogram_section", "width"), math.nan, id="nan-width"),
             pytest.param(("kinematic", "cond_max"), math.nan, id="nan-cond-max"),
             pytest.param(("dynamics", "tcp_mass"), math.inf, id="inf-tcp-mass"),
             pytest.param(("stiffness", "load", 5), -math.inf, id="minus-inf-load"),
