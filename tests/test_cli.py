@@ -204,7 +204,7 @@ class TestExitCodes:
             pytest.param(("dynamics", "min_acceleration"), math.nan, id="nan-min-acceleration"),
             pytest.param(("dynamics", "joint_masses", 0), math.nan, id="nan-joint-masses"),
             pytest.param(("stiffness", "load", 1), math.nan, id="nan-load"),
-            pytest.param(("stiffness", "parallelogram_section", "width"), math.nan, id="nan-width"),
+            pytest.param(("stiffness", "parallelogram_section", "width"), math.nan, id="nan-section-width"),
             pytest.param(("kinematic", "cond_max"), math.nan, id="nan-cond-max"),
             pytest.param(("dynamics", "tcp_mass"), math.inf, id="inf-tcp-mass"),
             pytest.param(("stiffness", "load", 5), -math.inf, id="minus-inf-load"),
