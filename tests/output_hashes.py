@@ -37,6 +37,15 @@ def configs() -> dict:
     )
     variants["symmetric"]["optimize"]["preset"] = "symmetric_quadratics"
     variants["biobjective"]["optimize"]["preset"] = "biobjective_front"
+    # unequal legs and limits, a mixed assembly, and a grid that is neither
+    # cubic nor centred, so no two legs see the same lever triples
+    variants["asymmetric"] = default_config()
+    variants["asymmetric"]["geometry"].update(
+        leg_lengths=[1.0, 1.15, 0.9],
+        joint_limits=[[-1.9, -0.1], [0.05, 2.0], [-1.7, -0.15]],
+        assembly_signs=[-1, 1, -1],
+    )
+    variants["asymmetric"]["grid"].update(origin=[-0.7, -0.8, -0.55], proportions=[1.0, 1.2, 0.8], dims=[41, 49, 37])
     # the required keys plus stiffness and a dynamics section without
     # acceleration_mode, so every other key comes from the schema's defaults
     required = default_config()
@@ -77,6 +86,11 @@ RUNS = [
     ("orthoglide", "pareto", ["pareto.csv", "pareto.json"]),
     ("symmetric", "optimize", ["attainment.json"]),
     ("biobjective", "pareto", ["pareto.csv", "pareto.json"]),
+    ("asymmetric", "stiffness-map --resolution 16", ["stiffness_k_map.csv"]),
+    *(
+        ("asymmetric", f"grid-eval --criterion stiffness --resolution {resolution}", ["stiffness_map.csv", "stiffness_mask.npz"])
+        for resolution in (12, 16)
+    ),
 ]
 
 
