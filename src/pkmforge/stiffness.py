@@ -202,9 +202,7 @@ def aggregate_stiffness(chains: Sequence[CartesianStiffness]) -> CartesianStiffn
 def deflection(stiffness: CartesianStiffness, load) -> np.ndarray:
     """Twist deflection under a wrench: solves ``K @ dt = f``; raises
     SingularStiffness when K's condition number exceeds ``CONDITION_LIMIT``."""
-    f = np.asarray(load, dtype=float)
-    if f.shape != (WRENCH_SIZE,):
-        raise ValueError(f"load must be a 6-vector, got shape {f.shape}")
+    f = _finite("load", load, (WRENCH_SIZE,))
     k = stiffness.matrix
     if np.linalg.cond(k) > CONDITION_LIMIT:
         raise SingularStiffness("aggregated stiffness is singular under this chain set")
@@ -260,6 +258,19 @@ def _cross(a, b, out: np.ndarray) -> None:
     component computed as ``np.cross`` does, ``a1 * b2 - a2 * b1`` and so on."""
     for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.subtract(a[i] * b[j], a[j] * b[i], out=out[c])
+
+
+def _distinct_levers(pts: np.ndarray, rho: np.ndarray, leg: int):
+    """(first, inverse) for the levers ``p - anchor`` of leg ``leg`` over
+    (n, 3) rows with drive values ``rho``, told apart by their bytes:
+    ``first`` indexes one row per distinct lever, and ``inverse`` maps each
+    row to its lever's entry in ``first``.  Each lever is computed as
+    ``_leg_jacobians`` computes it."""
+    lever = pts.copy()
+    np.subtract(pts[:, leg], rho[:, leg], out=lever[:, leg])
+    key = lever.view(np.dtype((np.void, 3 * lever.itemsize))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,71 +372,106 @@ class OrthoglideStiffnessModel(_ValueSemantics):
 
         Returns (valid, K) with K of shape (N, 6, 6); rows that are out of
         reach, or where assembly or inversion failed, are flagged invalid
-        and their K is exactly zero.  IK runs once over all rows; the
-        per-leg assembly and inverse run per block of the given rows on
-        every CPU (see ``grid.sweep_blocks``), only on its reachable rows,
-        and write them in place.  No row's result depends on the blocking.
+        and their K is exactly zero.
+
+        IK runs once over all rows, in the calling thread.  A leg reads a
+        pose only through its lever ``p - anchor`` (``_leg_jacobians``),
+        whose components are ``p_j``, ``p_k`` and ``d = p_i - rho_i``, so
+        its flag and contribution are bitwise functions of the lever.  Per
+        leg, the reachable rows are deduplicated on the lever's bytes, and
+        ``_leg_stiffness`` runs on one row per distinct lever (``_leg_sweep``);
+        on a grid the levers repeat, and at 49^3 the 98,518 reachable rows
+        hold 3,379 distinct levers per leg.  The legs' contributions are
+        then gathered per block of reachable rows, summed from zeros in leg
+        order, so the gather's temporaries stay a block's size.  A row is
+        valid when all three legs are.  Both the per-leg steps and the
+        gather run in blocks on every CPU (see ``grid.sweep_blocks``), and
+        no row's result depends on the blocking or the CPU count.
         """
         pts = np.asarray(positions, dtype=float)
         reachable, rho = batch_inverse_kinematics(pts, self.geometry)
-        k_invs = [np.linalg.inv(self._spring_matrix(leg)) for leg in range(3)]
-        valid = np.zeros(pts.shape[0], dtype=bool)
-        total = np.zeros((pts.shape[0], WRENCH_SIZE, WRENCH_SIZE))
+        rows = np.flatnonzero(reachable)
+        pts, rho = pts[rows], rho[rows]
+        ok = np.ones(rows.size, dtype=bool)
+        legs = []
+        for leg in range(3):
+            first, inverse = _distinct_levers(pts, rho, leg)
+            leg_ok, contribution = self._leg_sweep(pts[first], rho[first], leg)
+            ok &= leg_ok[inverse]
+            legs.append((contribution, inverse))
+        del pts, rho  # the reachable rows' copies, before K is allocated
+        total = np.zeros((reachable.size, WRENCH_SIZE, WRENCH_SIZE))
 
-        def block(part):
-            at = np.flatnonzero(reachable[part]) + part.start
-            valid[at], total[at] = self._block_stiffness(pts[at], rho[at], k_invs)
+        def gather(part):
+            k = np.zeros((part.stop - part.start, WRENCH_SIZE, WRENCH_SIZE))
+            for contribution, inverse in legs:
+                k += contribution[inverse[part]]
+            k[~ok[part]] = 0.0
+            total[rows[part]] = k
 
-        sweep_blocks(pts.shape[0], block)
+        sweep_blocks(rows.size, gather)
+        valid = np.zeros(reachable.size, dtype=bool)
+        valid[rows] = ok
         return valid, total
 
-    def _block_stiffness(self, pts, rho, k_invs):
-        """The legs' summed Cartesian stiffness over one block of rows, as
-        (valid (n,), K (n, 6, 6)), False and zero where a leg fails;
-        ``k_invs`` are the legs' inverse spring matrices.  The upper-left 6x6
-        block of each block system's inverse comes from one LU solve against
-        the first six columns of the identity, passed to the batched solve
-        as a (1, 8, 6) stack (numpy 1.x reads a right-hand side with one
-        dimension fewer than the matrices as a stack of vectors).  That
-        ``dgesv`` gives these the bits of a full inverse is not a documented
-        LAPACK guarantee: it holds on the tested build, scipy-openblas
-        0.3.31, and ``test_six_column_solve_matches_inverse_bitwise`` checks
-        it where it runs, so a failure there is a platform difference."""
+    def _leg_sweep(self, pts, rho, leg):
+        """``_leg_stiffness`` of leg ``leg`` over (n, 3) rows, per block of
+        rows on every CPU (see ``grid.sweep_blocks``), each block written in
+        place."""
+        k_inv = np.linalg.inv(self._spring_matrix(leg))
+        ok = np.empty(pts.shape[0], dtype=bool)
+        contribution = np.empty((pts.shape[0], WRENCH_SIZE, WRENCH_SIZE))
+
+        def block(part):
+            ok[part], contribution[part] = self._leg_stiffness(pts[part], rho[part], k_inv, leg)
+
+        sweep_blocks(pts.shape[0], block)
+        return ok, contribution
+
+    def _leg_stiffness(self, pts, rho, k_inv, leg):
+        """One leg's stiffness over a block of rows, as (ok (n,),
+        contribution (n, 6, 6)); ``ok`` is False where the leg fails, and
+        the contribution is then meaningless.  ``k_inv`` is the leg's
+        inverse spring matrix.  The upper-left 6x6 block of each block
+        system's inverse comes from one LU solve against the first six
+        columns of the identity, passed to the batched solve as a (1, 8, 6)
+        stack (numpy 1.x reads a right-hand side with one dimension fewer
+        than the matrices as a stack of vectors).  That ``dgesv`` gives
+        these the bits of a full inverse is not a documented LAPACK
+        guarantee: it holds on the tested build, scipy-openblas 0.3.31, and
+        ``test_six_column_solve_matches_inverse_bitwise`` checks it where it
+        runs, so a failure there is a platform difference.  A failed
+        batched solve falls back to one solve per row of the block."""
         n = pts.shape[0]
         size = WRENCH_SIZE + 2
         columns = np.eye(size)[:, :WRENCH_SIZE]
-        valid = np.ones(n, dtype=bool)
-        total = np.zeros((n, WRENCH_SIZE, WRENCH_SIZE))
-        for leg, k_inv in enumerate(k_invs):
-            ok, j_virtual, j_passive = self._leg_jacobians(pts, rho, leg)
-            valid &= ok
-            compliance = _compliance(j_virtual, k_inv)
-            scale = np.abs(compliance).max(axis=(1, 2))
-            valid &= np.isfinite(scale) & (scale > 0.0)
-            safe_scale = np.where(valid, scale, 1.0)
-            block = np.zeros((n, size, size))
-            block[:, :WRENCH_SIZE, :WRENCH_SIZE] = compliance / safe_scale[:, None, None]
-            block[:, :WRENCH_SIZE, WRENCH_SIZE:] = j_passive
-            block[:, WRENCH_SIZE:, :WRENCH_SIZE] = np.transpose(j_passive, (0, 2, 1))
-            # keep invalid rows invertible so the batched solve cannot throw
-            block[~valid] = np.eye(size)
-            try:
-                inverse = np.linalg.solve(block, columns[None])
-            except np.linalg.LinAlgError:
-                inverse = np.empty((n, size, WRENCH_SIZE))
-                for row in range(n):
-                    try:
-                        inverse[row] = np.linalg.solve(block[row], columns)
-                    except np.linalg.LinAlgError:
-                        valid[row] = False
-                        inverse[row] = columns
-            total += inverse[:, :WRENCH_SIZE] / safe_scale[:, None, None]
-        total[~valid] = 0.0
-        return valid, total
+        ok, j_virtual, j_passive = self._leg_jacobians(pts, rho, leg)
+        compliance = _compliance(j_virtual, k_inv)
+        scale = np.abs(compliance).max(axis=(1, 2))
+        ok &= np.isfinite(scale) & (scale > 0.0)
+        safe_scale = np.where(ok, scale, 1.0)
+        block = np.zeros((n, size, size))
+        block[:, :WRENCH_SIZE, :WRENCH_SIZE] = compliance / safe_scale[:, None, None]
+        block[:, :WRENCH_SIZE, WRENCH_SIZE:] = j_passive
+        block[:, WRENCH_SIZE:, :WRENCH_SIZE] = np.transpose(j_passive, (0, 2, 1))
+        # keep failed rows invertible so the batched solve cannot throw
+        block[~ok] = np.eye(size)
+        try:
+            inverse = np.linalg.solve(block, columns[None])
+        except np.linalg.LinAlgError:
+            inverse = np.empty((n, size, WRENCH_SIZE))
+            for row in range(n):
+                try:
+                    inverse[row] = np.linalg.solve(block[row], columns)
+                except np.linalg.LinAlgError:
+                    ok[row] = False
+                    inverse[row] = columns
+        return ok, inverse[:, :WRENCH_SIZE] / safe_scale[:, None, None]
 
     def batch_deflection(self, positions: np.ndarray, load):
         """Translational deflection norm under ``load`` over (N, 3) positions."""
-        return translational_deflection(*self.batch_cartesian_stiffness(positions), load)
+        f = _finite("load", load, (WRENCH_SIZE,))
+        return translational_deflection(*self.batch_cartesian_stiffness(positions), f)
 
 
 def _certified_conditioned(k_sym: np.ndarray) -> np.ndarray:
@@ -491,7 +537,7 @@ def translational_deflection(valid: np.ndarray, stiffness: np.ndarray, load):
     ``_certified_conditioned``).  Only the rows it leaves undecided go to
     ``eigvalsh``.  The solve is ``np.linalg.solve`` on K itself.
     """
-    f = np.asarray(load, dtype=float)
+    f = _finite("load", load, (WRENCH_SIZE,))
     values = np.full(stiffness.shape[0], np.nan)
     solved = np.zeros_like(valid)
 
@@ -525,7 +571,7 @@ def min_translational_stiffness(valid: np.ndarray, stiffness: np.ndarray) -> np.
 
 def deflection_field(model: OrthoglideStiffnessModel, load) -> ScalarField:
     """Field of the translational deflection norm under a fixed wrench."""
-    f = np.asarray(load, dtype=float)
+    f = _finite("load", load, (WRENCH_SIZE,))
 
     def scalar(position):
         return float(np.linalg.norm(deflection(model.cartesian_stiffness(position), f)[:3]))
@@ -553,7 +599,7 @@ def cross_section_sweep(
     Every factor scales width by ``mu`` and height by ``1/mu``, preserving
     the section area (and so the link mass).
     """
-    f = np.asarray(load, dtype=float)
+    f = _finite("load", load, (WRENCH_SIZE,))
     values = np.empty(len(scale_factors))
     for idx, factor in enumerate(scale_factors):
         scaled = replace(

@@ -27,7 +27,11 @@ from pkmforge.stiffness import (
     OrthoglideStiffnessModel,
     StiffnessSpec,
     beam_spring,
+    cross_section_sweep,
+    deflection,
+    deflection_field,
     scale_cross_section,
+    translational_deflection,
 )
 
 GEOMETRY = GeometryParams(leg_lengths=[1.0, 1.0, 1.0], joint_limits=[[-1.9, -0.1]] * 3)
@@ -35,6 +39,7 @@ SECTION = {"width": 0.025, "height": 0.025, "elastic_modulus": 7e10, "shear_modu
 INERTIA = InertiaModel(joint_masses=[15.0, 15.0, 15.0], tcp_mass=3.0)
 POSE = np.array([0.1, 0.2, 0.3])
 DRIVES = inverse_kinematics(POSE, GEOMETRY)
+LOAD = np.array([0.0, 200.0, 0.0, 0.0, 0.0, 60.0])
 
 
 def put(base, index, value) -> np.ndarray:
@@ -84,6 +89,16 @@ def goal_problem(goal=0.0, weight=1.0, upper=3.0):
     return GoalProblem((objective,), (), [[-3.0, upper]])
 
 
+# every entry point that takes a load, as build(load)
+LOAD_SITES = {
+    "StiffnessSpec": lambda f: StiffnessSpec(load=f, deflection_limit=1e-4),
+    "deflection": lambda f: deflection(CartesianStiffness(np.eye(6)), f),
+    "deflection_field": lambda f: deflection_field(stiffness_model(), f),
+    "batch_deflection": lambda f: stiffness_model().batch_deflection(POSE[None], f),
+    "translational_deflection": lambda f: translational_deflection(np.ones(1, dtype=bool), np.eye(6)[None], f),
+    "cross_section_sweep": lambda f: cross_section_sweep(stiffness_model(), POSE, f, [1.0]),
+}
+
 # (field, must be positive, a sane value, build(value))
 SITES = [
     ("origin", False, -0.5, lambda v: grid(origin=put([-0.5] * 3, 1, v))),
@@ -124,6 +139,12 @@ SITES = [
     ("weights", False, 1.0, lambda v: goal_problem(weight=v)),
     ("bounds", False, 3.0, lambda v: goal_problem(upper=v)),
     ("target", True, 0.8, lambda v: orthoglide_geometry_problem(put([1.0, 1.0, 0.8], 2, v), (0.5, 2.0), 4)),
+    # a non-finite load would read as a NaN deflection, so as no feasible node
+    *(
+        ("load", False, 200.0, lambda v, build=build: build(put(LOAD, 1, v)))
+        for site, build in LOAD_SITES.items()
+        if site != "StiffnessSpec"
+    ),
 ]
 
 
@@ -144,6 +165,13 @@ def test_sane_value_is_accepted(name, positive, sane, build):
 def test_bad_value_is_refused_by_name(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build(value)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (7,), (1, 6), (6, 1)])
+@pytest.mark.parametrize("site", LOAD_SITES)
+def test_load_of_the_wrong_shape_is_refused(site, shape):
+    with pytest.raises(ValueError, match=r"^load must have shape \(6,\)"):
+        LOAD_SITES[site](np.full(shape, 1.0))
 
 
 def test_negative_min_acceleration_keeps_its_own_check():

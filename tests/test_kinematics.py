@@ -331,7 +331,7 @@ class TestThreadedSweep:
             (grid, "evaluate_mask"),
             # the block kernels, which must run in workers
             (kinematics, "_transmission_rows"),
-            (stiffness.OrthoglideStiffnessModel, "_block_stiffness"),
+            (stiffness.OrthoglideStiffnessModel, "_leg_stiffness"),
             (dynamics, "_joint_inertias"),
         ]
         threads = {}
@@ -368,7 +368,7 @@ class TestThreadedSweep:
 
         transmission, stiffness_kernel, dynamics_kernel = (
             "kinematics._transmission_rows",
-            "OrthoglideStiffnessModel._block_stiffness",
+            "OrthoglideStiffnessModel._leg_stiffness",
             "dynamics._joint_inertias",
         )
         stiffness_names = {

@@ -2,6 +2,8 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,9 +284,10 @@ class TestOrthoglideModel:
 
 
 class TestBlockedSweep:
-    """The stiffness sweep runs blocks of its given rows on a thread pool,
-    each on its own reachable rows, which it writes in place; no row's bits
-    may depend on the blocking or on the CPU count."""
+    """The stiffness sweep runs each leg's step on blocks of one reachable
+    row per distinct lever, on a thread pool, and gathers the legs'
+    contributions into K; no row's bits may depend on the blocking or on
+    the CPU count."""
 
     BLOCK = grid.SWEEP_BLOCK_ROWS
     ROWS = 5 * BLOCK + 77
@@ -300,14 +303,24 @@ class TestBlockedSweep:
         return points
 
     @pytest.fixture(scope="class")
-    def short_block(self, points):
-        """Reachable rows in the sweep's last, short block; no other block
-        has as many, and the third has none."""
-        reachable, _ = batch_inverse_kinematics(points, default_model()[0].geometry)
-        counts = [int(reachable[start : start + self.BLOCK].sum()) for start in range(0, self.ROWS, self.BLOCK)]
-        assert len(counts) == 6 and counts[2] == 0
-        assert 0 < counts[-1] and counts.count(counts[-1]) == 1
-        return counts[-1]
+    def levers(self, points):
+        """Distinct levers of each leg: random points give every reachable
+        row its own, so each leg's step runs on all of them."""
+        reachable, rho = batch_inverse_kinematics(points, default_model()[0].geometry)
+        counts = set()
+        for leg in range(3):
+            lever = points[reachable]
+            lever[:, leg] -= rho[reachable, leg]
+            counts.add(np.unique(lever, axis=0).shape[0])
+        assert counts == {reachable.sum()}
+        return int(reachable.sum())
+
+    @pytest.fixture(scope="class")
+    def short_block(self, levers):
+        """Rows in the last, short block of each leg's step; every other
+        block is full."""
+        assert levers > 2 * self.BLOCK and levers % self.BLOCK > 0
+        return levers % self.BLOCK
 
     @staticmethod
     def sweep(points):
@@ -364,7 +377,7 @@ class TestBlockedSweep:
         model, _ = default_model()
         valid, k = model.batch_cartesian_stiffness(points)
         monkeypatch.undo()
-        assert len(single_rows) == 3 * short_block  # each leg of each row in the short block
+        assert len(single_rows) == 3 * short_block  # each leg's short block, one row at a time
         self.assert_bitwise_equal((valid, k), reference[:2])
 
     def test_programming_error_in_a_block_propagates(self, points, short_block, monkeypatch):
@@ -419,7 +432,7 @@ class TestBlockedSweep:
         # packed copy of the reachable rows' K would add 0.84 K more
         assert peak < 1.5 * k.nbytes
 
-    def test_six_column_solve_matches_inverse_bitwise(self, points, monkeypatch):
+    def test_six_column_solve_matches_inverse_bitwise(self, points, levers, monkeypatch):
         # the sweep keeps the upper-left 6x6 block of each block system's
         # inverse from a solve against six identity columns; this holds it to
         # the full inverse on the real blocks of all three legs
@@ -435,13 +448,81 @@ class TestBlockedSweep:
         model, _ = default_model()
         model.batch_cartesian_stiffness(points)
         monkeypatch.undo()
-        assert len(systems) == 3 * 6  # three legs of six blocks, one of them with no row
+        assert len(systems) == 3 * -(-levers // self.BLOCK)  # each leg's blocks of distinct levers
         for a, b, x in systems:
             # a stack of right-hand sides, as numpy 1.x reads (n, 8, 8) with
             # (8, 6) as a stack of vectors and rejects it
             assert b.shape == (1, 8, 6)
             assert a.shape[1:] == (8, 8) and x.shape == (a.shape[0], 8, 6)
             assert x[:, :6].tobytes() == np.linalg.inv(a)[:, :6, :6].tobytes()
+
+
+def per_row_stiffness(model, points):
+    """The stiffness sweep without deduplication or blocks: each leg's step
+    on every reachable row, the contributions summed from zeros in leg
+    order and zeroed where any leg fails; the bit oracle."""
+    reachable, rho = batch_inverse_kinematics(points, model.geometry)
+    valid = reachable.copy()
+    total = np.zeros((points.shape[0], 6, 6))
+    for leg in range(3):
+        k_inv = np.linalg.inv(model._spring_matrix(leg))
+        ok, contribution = model._leg_stiffness(points[reachable], rho[reachable], k_inv, leg)
+        valid[reachable] &= ok
+        total[reachable] += contribution
+    total[~valid] = 0.0
+    return valid, total
+
+
+class TestDistinctLevers:
+    """Each leg's step runs once per distinct lever and its contribution is
+    gathered back to every row with that lever, with the bits of the step
+    run on every row."""
+
+    @staticmethod
+    def model(lengths, limits, signs):
+        model, _ = default_model()
+        return replace(model, geometry=GeometryParams(lengths, limits, signs))
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=40)
+    @given(
+        lengths=st.lists(st.floats(0.7, 1.5), min_size=3, max_size=3),
+        lows=st.lists(st.floats(0.0, 0.3), min_size=3, max_size=3),
+        spans=st.lists(st.floats(0.8, 2.0), min_size=3, max_size=3),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+        origin=st.lists(st.floats(-0.9, -0.1), min_size=3, max_size=3),
+        proportions=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3),
+        resolution=st.integers(3, 12),
+        dims=st.lists(st.integers(2, 9), min_size=3, max_size=3).filter(lambda d: len(set(d)) > 1),
+        block_rows=st.sampled_from([7, 64, grid.SWEEP_BLOCK_ROWS]),
+    )
+    def test_sweep_matches_the_step_on_every_row_bitwise_property(
+        self, lengths, lows, spans, signs, origin, proportions, resolution, dims, block_rows
+    ):
+        # each drive's travel lies on its assembly's side of the foot
+        limits = [sorted((sign * low, sign * (low + span))) for low, span, sign in zip(lows, spans, signs)]
+        model = self.model(lengths, limits, signs)
+        points = GridSpec(origin, proportions, resolution, dims).node_positions()
+        assume(batch_inverse_kinematics(points, model.geometry)[0].any())
+        with mock.patch.object(grid, "SWEEP_BLOCK_ROWS", block_rows):
+            valid, k = model.batch_cartesian_stiffness(points)
+        reference_valid, reference_k = per_row_stiffness(model, points)
+        assert valid.tobytes() == reference_valid.tobytes()
+        assert k.tobytes() == reference_k.tobytes()
+
+    def test_default_grid_steps_once_per_distinct_lever(self, monkeypatch):
+        # 98,518 reachable nodes of the 49^3 grid, 3,379 distinct levers a leg
+        config = default_config()
+        model, _ = build_stiffness(config)
+        leg_stiffness = OrthoglideStiffnessModel._leg_stiffness
+        rows = [0, 0, 0]
+
+        def counted(self, pts, rho, k_inv, leg):
+            rows[leg] += pts.shape[0]
+            return leg_stiffness(self, pts, rho, k_inv, leg)
+
+        monkeypatch.setattr(OrthoglideStiffnessModel, "_leg_stiffness", counted)
+        valid, _ = model.batch_cartesian_stiffness(build_grid(config).node_positions())
+        assert valid.sum() == 98_518 and rows == [3_379] * 3
 
 
 def eigvalsh_only_deflection(valid, stiffness_, load):
