@@ -167,11 +167,20 @@ def test_bad_value_is_refused_by_name(name, build, value):
         build(value)
 
 
-@pytest.mark.parametrize("shape", [(), (5,), (7,), (1, 6), (6, 1)])
+@pytest.mark.parametrize("shape", [(), (5,), (7,), (1, 6), (6, 1)], ids=["scalar", "5", "7", "1x6", "6x1"])
 @pytest.mark.parametrize("site", LOAD_SITES)
 def test_load_of_the_wrong_shape_is_refused(site, shape):
     with pytest.raises(ValueError, match=r"^load must have shape \(6,\)"):
         LOAD_SITES[site](np.full(shape, 1.0))
+
+
+def test_batch_deflection_refuses_a_bad_load_before_the_sweep(monkeypatch):
+    def sweep(self, positions):
+        raise AssertionError("swept before the load was checked")
+
+    monkeypatch.setattr(OrthoglideStiffnessModel, "batch_cartesian_stiffness", sweep)
+    with pytest.raises(ValueError, match="^load must be finite"):
+        stiffness_model().batch_deflection(POSE[None], put(LOAD, 1, np.nan))
 
 
 def test_negative_min_acceleration_keeps_its_own_check():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+import output_hashes
 from conftest import on_cpus, reachable, signed_zero_values
 
 from pkmforge import grid, stiffness
@@ -428,8 +429,9 @@ class TestBlockedSweep:
         finally:
             tracemalloc.stop()
         assert len(positions) == 49**3 and valid.mean() > 0.8
-        # K, IK's outputs and one block's temporaries take about 1.26 K; a
-        # packed copy of the reachable rows' K would add 0.84 K more
+        # K, the legs' distinct contributions and lever maps and one gather
+        # block take about 1.22 K; a gather of all reachable rows at once,
+        # or a packed copy of their K, would add 0.84 K more
         assert peak < 1.5 * k.nbytes
 
     def test_six_column_solve_matches_inverse_bitwise(self, points, levers, monkeypatch):
@@ -505,6 +507,19 @@ class TestDistinctLevers:
         assume(batch_inverse_kinematics(points, model.geometry)[0].any())
         with mock.patch.object(grid, "SWEEP_BLOCK_ROWS", block_rows):
             valid, k = model.batch_cartesian_stiffness(points)
+        reference_valid, reference_k = per_row_stiffness(model, points)
+        assert valid.tobytes() == reference_valid.tobytes()
+        assert k.tobytes() == reference_k.tobytes()
+
+    @pytest.mark.parametrize("name", ["default", "asymmetric"])
+    @pytest.mark.parametrize("resolution", [12, 16])
+    def test_pinned_grids_match_the_step_on_every_row_bitwise(self, name, resolution):
+        # at resolution 12 the default grid has K entries where every leg's
+        # contribution is -0.0; K, summed from +0.0, holds +0.0 there
+        config = output_hashes.configs()[name]
+        model, _ = build_stiffness(config)
+        points = build_grid(config, resolution).node_positions()
+        valid, k = model.batch_cartesian_stiffness(points)
         reference_valid, reference_k = per_row_stiffness(model, points)
         assert valid.tobytes() == reference_valid.tobytes()
         assert k.tobytes() == reference_k.tobytes()
