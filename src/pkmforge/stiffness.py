@@ -469,7 +469,8 @@ class OrthoglideStiffnessModel(_ValueSemantics):
         return ok, inverse[:, :WRENCH_SIZE] / safe_scale[:, None, None]
 
     def batch_deflection(self, positions: np.ndarray, load):
-        """Translational deflection norm under ``load`` over (N, 3) positions."""
+        """Translational deflection norm under ``load`` over (N, 3) positions;
+        a non-finite or misshapen load is refused before the sweep."""
         f = _finite("load", load, (WRENCH_SIZE,))
         return translational_deflection(*self.batch_cartesian_stiffness(positions), f)
 

@@ -480,11 +480,6 @@ class TestDistinctLevers:
     gathered back to every row with that lever, with the bits of the step
     run on every row."""
 
-    @staticmethod
-    def model(lengths, limits, signs):
-        model, _ = default_model()
-        return replace(model, geometry=GeometryParams(lengths, limits, signs))
-
     @settings(database=None, derandomize=True, deadline=None, max_examples=40)
     @given(
         lengths=st.lists(st.floats(0.7, 1.5), min_size=3, max_size=3),
@@ -496,18 +491,28 @@ class TestDistinctLevers:
         resolution=st.integers(3, 12),
         dims=st.lists(st.integers(2, 9), min_size=3, max_size=3).filter(lambda d: len(set(d)) > 1),
         block_rows=st.sampled_from([7, 64, grid.SWEEP_BLOCK_ROWS]),
+        fail_above=st.floats(-0.5, 1.5),
     )
     def test_sweep_matches_the_step_on_every_row_bitwise_property(
-        self, lengths, lows, spans, signs, origin, proportions, resolution, dims, block_rows
+        self, lengths, lows, spans, signs, origin, proportions, resolution, dims, block_rows, fail_above
     ):
         # each drive's travel lies on its assembly's side of the foot
         limits = [sorted((sign * low, sign * (low + span))) for low, span, sign in zip(lows, spans, signs)]
-        model = self.model(lengths, limits, signs)
+        model = replace(default_model()[0], geometry=GeometryParams(lengths, limits, signs))
         points = GridSpec(origin, proportions, resolution, dims).node_positions()
         assume(batch_inverse_kinematics(points, model.geometry)[0].any())
-        with mock.patch.object(grid, "SWEEP_BLOCK_ROWS", block_rows):
-            valid, k = model.batch_cartesian_stiffness(points)
-        reference_valid, reference_k = per_row_stiffness(model, points)
+        leg_jacobians = OrthoglideStiffnessModel._leg_jacobians
+
+        def some_legs_fail(self, pts, rho, leg):
+            # no real design fails a reachable leg, so fail each leg by a rule
+            # on its lever's p_j, and a row fails as its lever does
+            ok, j_virtual, j_passive = leg_jacobians(self, pts, rho, leg)
+            return ok & (pts[:, (leg + 1) % 3] <= fail_above), j_virtual, j_passive
+
+        with mock.patch.object(OrthoglideStiffnessModel, "_leg_jacobians", some_legs_fail):
+            with mock.patch.object(grid, "SWEEP_BLOCK_ROWS", block_rows):
+                valid, k = model.batch_cartesian_stiffness(points)
+            reference_valid, reference_k = per_row_stiffness(model, points)
         assert valid.tobytes() == reference_valid.tobytes()
         assert k.tobytes() == reference_k.tobytes()
 
@@ -524,19 +529,27 @@ class TestDistinctLevers:
         assert valid.tobytes() == reference_valid.tobytes()
         assert k.tobytes() == reference_k.tobytes()
 
-    def test_default_grid_steps_once_per_distinct_lever(self, monkeypatch):
+    def test_default_grid_runs_ik_once_and_steps_once_per_distinct_lever(self, monkeypatch):
         # 98,518 reachable nodes of the 49^3 grid, 3,379 distinct levers a leg
         config = default_config()
         model, _ = build_stiffness(config)
         leg_stiffness = OrthoglideStiffnessModel._leg_stiffness
+        ik = stiffness.batch_inverse_kinematics
         rows = [0, 0, 0]
+        ik_calls = []
 
         def counted(self, pts, rho, k_inv, leg):
             rows[leg] += pts.shape[0]
             return leg_stiffness(self, pts, rho, k_inv, leg)
 
+        def counted_ik(points, geometry):
+            ik_calls.append(points.shape[0])
+            return ik(points, geometry)
+
         monkeypatch.setattr(OrthoglideStiffnessModel, "_leg_stiffness", counted)
+        monkeypatch.setattr(stiffness, "batch_inverse_kinematics", counted_ik)
         valid, _ = model.batch_cartesian_stiffness(build_grid(config).node_positions())
+        assert ik_calls == [49**3]
         assert valid.sum() == 98_518 and rows == [3_379] * 3
 
 
