@@ -236,6 +236,58 @@ def batch_inverse_kinematics(positions: np.ndarray, geometry: GeometryParams):
     return reachable, rho.T
 
 
+class _GridInverseKinematics:
+    """``batch_inverse_kinematics`` of a grid's nodes from three per-leg
+    tables, one block of whole k-lines at a time.
+
+    Leg i's radicand ``(L_i^2 - p_j^2) - p_k^2``, its ``>= 0`` flag and the
+    clamped radicand's ``s_i * sqrt`` depend only on the two other
+    coordinates, and each node coordinate is bitwise its axis value, so one
+    (n_j, n_k) table per leg, computed by the same operations in the same
+    order, holds every node's value: 3 n^2 square roots for n^3 nodes.
+    Calling it with a slice of k-lines (``grid.sweep_grid``'s blocks) gives
+    those nodes' ``(reachable, rho)`` bit for bit as
+    ``batch_inverse_kinematics`` gives them from the nodes' positions, ρ at
+    unreachable nodes included: ``rho_i`` is the axis-i value plus the
+    table entry, compared with the joint limits as there.  ``rho`` is an
+    (n, 3) view of a (3, n) array.
+    """
+
+    def __init__(self, spec, geometry: GeometryParams):
+        self.nj = spec.dims[1]
+        self.axes = spec._axes()
+        self.limits = geometry.joint_limits
+        self.tables = []
+        for i, j, k in _CYCLIC:
+            a_j, a_k = self.axes[j], self.axes[k]
+            radicand = np.empty((a_j.size, a_k.size))
+            np.subtract(geometry.leg_lengths[i] ** 2, (a_j * a_j)[:, None], out=radicand)
+            radicand -= a_k * a_k
+            ok = radicand >= 0.0
+            radicand[~ok] = 0.0
+            root = np.sqrt(radicand, out=radicand)
+            np.multiply(geometry.assembly_signs[i], root, out=root)
+            self.tables.append((ok, root))
+
+    def __call__(self, lines: slice):
+        x, y, z = self.axes
+        # each line's x and y index; leg 0's table is indexed (y, z), leg
+        # 1's (z, x) and leg 2's (x, y)
+        xi, yi = np.divmod(np.arange(lines.start, lines.stop), self.nj)
+        (ok_0, root_0), (ok_1, root_1), (ok_2, root_2) = self.tables
+        rho = np.empty((3, xi.size, z.size))
+        np.add(x[xi, None], root_0[yi], out=rho[0])
+        np.add(y[yi, None], root_1[:, xi].T, out=rho[1])
+        np.add(z, root_2[xi, yi, None], out=rho[2])
+        reachable = ok_0[yi]
+        reachable &= ok_1[:, xi].T
+        reachable &= ok_2[xi, yi, None]
+        for i, (lo, hi) in enumerate(self.limits):
+            reachable &= rho[i] >= lo
+            reachable &= rho[i] <= hi
+        return reachable.reshape(-1), rho.reshape(3, -1).T
+
+
 def batch_rate_matrices(positions: np.ndarray, geometry: GeometryParams):
     """Vectorized reachability plus the rate matrices ``M`` of the kept rows.
 
@@ -327,8 +379,10 @@ def _transmission_rows(positions: np.ndarray, geometry: GeometryParams, ik=None)
     ``rows`` holds their indices, ascending.  Its first step is the inverse
     kinematics; a caller that already has the positions' IK, ``(reachable,
     rho)`` as ``batch_inverse_kinematics`` gives it, passes it as ``ik``,
-    and the kernel starts after that step and uses the arrays up (a mask
-    after its predicate's ``reach``).  The singular values of J are the
+    and the kernel starts after that step and uses the arrays up: a grid
+    mask passes each block's IK from the per-leg tables
+    (``_GridInverseKinematics``), or the one its predicate's ``reach``
+    kept.  The singular values of J are the
     reciprocals of those of M, so no matrix inversion is needed; the Gram
     ``M^T M``, its eigenvalues and the guard are computed elementwise on the
     kept rows only, and ``M`` and the Gram are freed as soon as they have
@@ -419,7 +473,7 @@ class _TransmissionPredicate:
         self.geometry = geometry
         self.cond_max = cond_max
         self.sigma_range = sigma_range
-        self._ik = None  # (spec, reachable, rho) of a one-block grid, kept by reach
+        self._ik = None  # (spec, (start, stop), (reachable, rho)) of a one-block grid, kept by reach
 
     def _passes(self, cond, sigma_min, sigma_max) -> np.ndarray:
         """The bounds' flags; NaN values (unreachable rows) fail every bound."""
@@ -438,38 +492,52 @@ class _TransmissionPredicate:
 
     def reach(self, spec) -> np.ndarray:
         """The flags of a grid's nodes that pass the inverse kinematics, in
-        C order: a superset of ``mask(spec)``'s flags, swept on
-        ``grid.sweep_grid`` like them.
+        C order: a superset of ``mask(spec)``'s flags.
 
-        On a grid of one block, ``TRANSMISSION_BLOCK_ROWS`` nodes or fewer,
-        the predicate keeps that block's IK, and its next ``mask(spec)``
-        starts the kernel after the IK step and uses it up.
+        The IK comes from the per-leg tables (``_GridInverseKinematics``),
+        swept in ``mask(spec)``'s blocks of whole k-lines on
+        ``grid.sweep_blocks``, with no positions filled.  On a grid of one
+        block, ``TRANSMISSION_BLOCK_ROWS`` nodes or fewer, the predicate
+        keeps that block's IK, keyed on the grid and the block's rows, and
+        its next ``mask(spec)`` hands it to the kernel of the block with
+        those rows, if it has one.
         """
-        nodes = spec.dims[0] * spec.dims[1] * spec.dims[2]
+        nk = spec.dims[2]
+        nodes = spec.dims[0] * spec.dims[1] * nk
         flags = np.empty(nodes, dtype=bool)
+        ik = _GridInverseKinematics(spec, self.geometry)
         self._ik = None
 
-        def block(part: slice, positions: np.ndarray) -> None:
-            reachable, rho = _batch_inverse_kinematics(positions, self.geometry)
-            flags[part] = reachable
-            if part.stop - part.start == nodes:
-                self._ik = (spec, reachable, rho)
+        def block(lines: slice) -> None:
+            reachable, rho = ik(lines)
+            flags[lines.start * nk : lines.stop * nk] = reachable
+            if (lines.stop - lines.start) * nk == nodes:
+                self._ik = (spec, (0, nodes), (reachable, rho))
 
-        sweep_grid(spec, block, TRANSMISSION_BLOCK_ROWS)
+        sweep_blocks(spec.dims[0] * spec.dims[1], block, max(1, TRANSMISSION_BLOCK_ROWS // nk))
         return flags
 
     def mask(self, spec) -> np.ndarray:
-        flags = np.zeros(spec.dims[0] * spec.dims[1] * spec.dims[2], dtype=bool)
-        # the IK kept by reach(spec), this grid's single block: popped into
-        # the kernel, so no frame here keeps it alive while the kernel runs
-        kept = [self._ik[1:]] if self._ik is not None and self._ik[0] is spec else []
+        """The flags of a grid's nodes, in C order, swept on
+        ``grid.sweep_grid``; each block's IK comes from the per-leg tables
+        (``_GridInverseKinematics``), or is the one ``reach(spec)`` kept for
+        that block's rows, and the kernel takes it as its ``ik``."""
+        nk = spec.dims[2]
+        flags = np.zeros(spec.dims[0] * spec.dims[1] * nk, dtype=bool)
+        kept = self._ik
         self._ik = None
+        # the kept IK by its block's rows: popped into that block's kernel,
+        # so no frame here keeps it alive while the kernel runs
+        handoff = {kept[1]: kept[2]} if kept is not None and kept[0] is spec else {}
+        ik = _GridInverseKinematics(spec, self.geometry)
 
         def block(part: slice, positions: np.ndarray) -> None:
-            if kept:
-                rows, s_min, s_max = _transmission_rows(positions, self.geometry, kept.pop())
-            else:
-                rows, s_min, s_max = _transmission_rows(positions, self.geometry)
+            key = (part.start, part.stop)
+            rows, s_min, s_max = _transmission_rows(
+                positions,
+                self.geometry,
+                handoff.pop(key) if key in handoff else ik(slice(part.start // nk, part.stop // nk)),
+            )
             flags[rows[self._passes(s_max / s_min, s_min, s_max)] + part.start] = True
 
         sweep_grid(spec, block, TRANSMISSION_BLOCK_ROWS)

@@ -263,14 +263,26 @@ def _cross(a, b, out: np.ndarray) -> None:
 def _distinct_levers(pts: np.ndarray, rho: np.ndarray, leg: int):
     """(first, inverse) for the levers ``p - anchor`` of leg ``leg`` over
     (n, 3) rows with drive values ``rho``, told apart by their bytes:
-    ``first`` indexes one row per distinct lever, and ``inverse`` maps each
-    row to its lever's entry in ``first``.  Each lever is computed as
-    ``_leg_jacobians`` computes it."""
+    ``first`` indexes one row per distinct lever, its first occurrence, in
+    the order of the levers' 24 bytes, and ``inverse`` maps each row to its
+    lever's entry in ``first``, as ``np.unique`` of the bytes gives them.
+    Each lever is computed as ``_leg_jacobians`` computes it.
+
+    Read as a big-endian unsigned integer, each component's 8 bytes order
+    as a comparison of the bytes does, so a stable sort by the three
+    integers puts equal levers in runs, each led by its first occurrence.
+    """
     lever = pts.copy()
     np.subtract(pts[:, leg], rho[:, leg], out=lever[:, leg])
-    key = lever.view(np.dtype((np.void, 3 * lever.itemsize))).ravel()
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse
+    key = lever.view(">u8").astype(np.uint64)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    np.any(key[1:] != key[:-1], axis=1, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 @dataclass(frozen=True, eq=False)

@@ -371,9 +371,9 @@ def kernel_blocks(monkeypatch):
     kernel = kinematics._transmission_rows
     blocks = []
 
-    def recorded(positions, geometry):
+    def recorded(positions, geometry, ik=None):
         blocks.append(np.array(positions))
-        return kernel(positions, geometry)
+        return kernel(positions, geometry, ik)
 
     monkeypatch.setattr(kinematics, "_transmission_rows", recorded)
     return blocks

@@ -1,6 +1,7 @@
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,6 +332,7 @@ class TestThreadedSweep:
             (grid, "evaluate_mask"),
             # the block kernels, which must run in workers
             (kinematics, "_transmission_rows"),
+            (kinematics._GridInverseKinematics, "__call__"),
             (stiffness.OrthoglideStiffnessModel, "_leg_stiffness"),
             (dynamics, "_joint_inertias"),
         ]
@@ -366,8 +368,9 @@ class TestThreadedSweep:
         def accelerations():
             return dynamics.acceleration_field(symmetric_geometry, inertia_model, dynamic_spec.torque_limits).batch(few)
 
-        transmission, stiffness_kernel, dynamics_kernel = (
+        transmission, table_ik, stiffness_kernel, dynamics_kernel = (
             "kinematics._transmission_rows",
+            "_GridInverseKinematics.__call__",
             "OrthoglideStiffnessModel._leg_stiffness",
             "dynamics._joint_inertias",
         )
@@ -378,25 +381,27 @@ class TestThreadedSweep:
             "stiffness.batch_inverse_kinematics",
         }
         dynamics_names = {"ScalarField.batch", "dynamics.batch_rate_matrices", "kinematics.batch_inverse_kinematics"}
-        # each sweep takes at least three blocks; its block kernel must run in a worker
+        # each sweep takes at least three blocks; its block kernels must run in a worker
         sweeps = {
-            "condition field": (lambda: condition_field(symmetric_geometry).batch(points), {"ScalarField.batch"}, transmission),
-            "full sweep": (lambda: kinematics.batch_transmission(points, symmetric_geometry), {"kinematics.batch_transmission"}, transmission),
-            "map over positions": (lambda: predicate().map(points), {"kinematics.batch_transmission"}, transmission),
-            "mask over a grid": (lambda: grid.evaluate_mask(spec, predicate()), {"grid.evaluate_mask"}, transmission),
-            "deflection field": (deflections, stiffness_names, stiffness_kernel),
+            "condition field": (lambda: condition_field(symmetric_geometry).batch(points), {"ScalarField.batch"}, [transmission]),
+            "full sweep": (lambda: kinematics.batch_transmission(points, symmetric_geometry), {"kinematics.batch_transmission"}, [transmission]),
+            "map over positions": (lambda: predicate().map(points), {"kinematics.batch_transmission"}, [transmission]),
+            "mask over a grid": (lambda: grid.evaluate_mask(spec, predicate()), {"grid.evaluate_mask"}, [transmission, table_ik]),
+            "reach over a grid": (lambda: predicate().reach(spec), set(), [table_ik]),
+            "deflection field": (deflections, stiffness_names, [stiffness_kernel]),
             "inertia field": (
                 lambda: dynamics.inertia_norm_field(symmetric_geometry, inertia_model).batch(few),
                 dynamics_names | {"dynamics.sym_eigvals_3x3"},
-                dynamics_kernel,
+                [dynamics_kernel],
             ),
-            "acceleration field": (accelerations, dynamics_names, dynamics_kernel),
+            "acceleration field": (accelerations, dynamics_names, [dynamics_kernel]),
         }
         main = {threading.main_thread()}
-        for label, (sweep, entry_points, kernel) in sweeps.items():
+        for label, (sweep, entry_points, kernels) in sweeps.items():
             threads.clear()
             sweep()
-            assert threads.pop(kernel) - main, label
+            for kernel in kernels:
+                assert threads.pop(kernel) - main, label
             assert threads == {name: main for name in entry_points}, label
 
 
@@ -438,16 +443,34 @@ class TestGridMask:
         ragged = spec.dims[0] * spec.dims[1] % (TRANSMISSION_BLOCK_ROWS // spec.dims[2]) * spec.dims[2]
         blocks = []
 
-        def planted(positions, geometry):
+        def planted(positions, geometry, ik):
             blocks.append(positions.shape[0])
             if positions.shape[0] == ragged:
                 raise TypeError("planted in the last block")
-            return kernel(positions, geometry)
+            return kernel(positions, geometry, ik)
 
         monkeypatch.setattr(kinematics, "_transmission_rows", planted)
         with pytest.raises(TypeError, match="planted in the last block"):
             grid.evaluate_mask(spec, transmission_predicate(symmetric_geometry, cond_max=2.0))
         assert ragged in blocks and len(blocks) == 4
+
+
+def count_table_ik(monkeypatch):
+    """Record the nodes of each block whose IK comes from the per-leg tables,
+    and refuse the per-node IK, which no grid sweep of a predicate runs."""
+    table_ik = kinematics._GridInverseKinematics.__call__
+    calls = []
+
+    def counted(self, lines):
+        calls.append((lines.stop - lines.start) * self.axes[2].size)
+        return table_ik(self, lines)
+
+    def refused(positions, geometry):
+        raise AssertionError("per-node IK in a grid sweep")
+
+    monkeypatch.setattr(kinematics._GridInverseKinematics, "__call__", counted)
+    monkeypatch.setattr(kinematics, "_batch_inverse_kinematics", refused)
+    return calls
 
 
 def one_block_spec():
@@ -479,14 +502,7 @@ class TestReach:
     def test_mask_after_reach_equals_mask_alone(self, monkeypatch, symmetric_geometry, make_spec):
         spec = make_spec()
         alone = transmission_predicate(symmetric_geometry, cond_max=2.0).mask(spec)
-        ik = kinematics._batch_inverse_kinematics
-        calls = []
-
-        def counted(positions, geometry):
-            calls.append(len(positions))
-            return ik(positions, geometry)
-
-        monkeypatch.setattr(kinematics, "_batch_inverse_kinematics", counted)
+        calls = count_table_ik(monkeypatch)
         predicate = transmission_predicate(symmetric_geometry, cond_max=2.0)
         predicate.reach(spec)
         reach_calls = len(calls)
@@ -501,6 +517,19 @@ class TestReach:
         assert predicate.mask(spec).tobytes() == alone.tobytes()
         assert sum(calls) == nodes
 
+    def test_kept_ik_is_used_only_by_a_block_of_its_rows(self, monkeypatch, symmetric_geometry):
+        # the blocks shrink between reach and mask, so no block of the mask
+        # has the rows of the IK that reach kept
+        spec = one_block_spec()
+        predicate = transmission_predicate(symmetric_geometry, cond_max=2.0)
+        predicate.reach(spec)
+        monkeypatch.setattr(kinematics, "TRANSMISSION_BLOCK_ROWS", 2000)
+        alone = transmission_predicate(symmetric_geometry, cond_max=2.0).mask(spec)
+        assert 0 < alone.sum()
+        calls = count_table_ik(monkeypatch)
+        assert predicate.mask(spec).tobytes() == alone.tobytes()
+        assert len(calls) > 1 and sum(calls) == spec.dims[0] * spec.dims[1] * spec.dims[2]
+
     def test_kept_ik_is_used_only_on_its_own_grid(self, symmetric_geometry):
         spec = one_block_spec()
         other = replace(spec, origin=spec.origin + 0.5 * spec.steps)
@@ -509,3 +538,55 @@ class TestReach:
         expected = transmission_predicate(symmetric_geometry, cond_max=2.0).mask(other)
         assert 0 < expected.sum()
         assert predicate.mask(other).tobytes() == expected.tobytes()
+
+
+@st.composite
+def designs_on_grids(draw):
+    """A geometry with its own length, travel and assembly sign per leg,
+    and a non-cubic, off-centre grid: equal legs on a cubic grid could not
+    tell a table's (j, k) from its (k, j)."""
+    lengths = draw(st.lists(st.floats(0.7, 1.5), min_size=3, max_size=3))
+    lows = draw(st.lists(st.floats(0.0, 0.3), min_size=3, max_size=3))
+    spans = draw(st.lists(st.floats(0.8, 2.0), min_size=3, max_size=3))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
+    # each drive's travel lies on its assembly's side of the foot
+    limits = [sorted((sign * low, sign * (low + span))) for low, span, sign in zip(lows, spans, signs)]
+    origin = draw(st.lists(st.floats(-0.9, -0.1), min_size=3, max_size=3))
+    proportions = draw(st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
+    resolution = draw(st.integers(3, 12))
+    dims = draw(st.lists(st.integers(2, 13), min_size=3, max_size=3).filter(lambda d: len(set(d)) > 1))
+    return GeometryParams(lengths, limits, signs), grid.GridSpec(origin, proportions, resolution, dims)
+
+
+class TestGridInverseKinematics:
+    """The per-leg tables give a grid's IK with the bits of
+    ``batch_inverse_kinematics`` over its node positions, in any blocks of
+    k-lines, and the predicate's ``reach`` and ``mask`` built on them keep
+    the bits of the sweeps over the positions."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=80)
+    @given(design=designs_on_grids(), lines=st.sampled_from([1, 2, 5, 64]))
+    def test_equals_the_inverse_kinematics_of_the_nodes_bitwise_property(self, design, lines):
+        geometry, spec = design
+        reachable, rho = kinematics.batch_inverse_kinematics(spec.node_positions(), geometry)
+        ik = kinematics._GridInverseKinematics(spec, geometry)
+        count = spec.dims[0] * spec.dims[1]
+        blocks = [ik(slice(start, min(start + lines, count))) for start in range(0, count, lines)]
+        assert np.concatenate([flags for flags, _ in blocks]).tobytes() == reachable.tobytes()
+        # the clamped branch values of unreachable nodes too
+        assert np.concatenate([rho for _, rho in blocks]).tobytes() == rho.tobytes()
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=40)
+    @given(design=designs_on_grids(), lines=st.sampled_from([1, 5, 1000]))
+    def test_reach_and_mask_equal_the_sweeps_over_the_positions_property(self, design, lines):
+        # 1,000 k-lines make every grid one block, whose IK reach hands to mask
+        geometry, spec = design
+        cond_max, sigma_range = 4.0, (0.4, 2.5)
+        reachable, _ = kinematics.batch_inverse_kinematics(spec.node_positions(), geometry)
+        valid, cond, sigma_min, sigma_max = batch_transmission(spec.node_positions(), geometry)
+        with np.errstate(invalid="ignore"):
+            valid &= (cond <= cond_max) & (sigma_min >= sigma_range[0]) & (sigma_max <= sigma_range[1])
+        predicate = transmission_predicate(geometry, cond_max, sigma_range)
+        with mock.patch.object(kinematics, "TRANSMISSION_BLOCK_ROWS", lines * spec.dims[2]):
+            assert predicate.reach(spec).tobytes() == reachable.tobytes()
+            assert predicate.mask(spec).tobytes() == valid.tobytes()

@@ -291,14 +291,18 @@ class TestReachableBound:
         designs = starts_for(BOUNDED_PROBLEMS["orthoglide-1x1x0.8"], 6, seed=11)
         exact = [constraint.evaluate(x) for x in designs]
         assert len(set(exact)) > 2
-        ik = kinematics._batch_inverse_kinematics
+        table_ik = kinematics._GridInverseKinematics.__call__
         calls = []
 
-        def counted(positions, geometry):
-            calls.append(len(positions))
-            return ik(positions, geometry)
+        def counted(self, lines):
+            calls.append((lines.stop - lines.start) * self.axes[2].size)
+            return table_ik(self, lines)
 
-        monkeypatch.setattr(kinematics, "_batch_inverse_kinematics", counted)
+        def refused(positions, geometry):
+            raise AssertionError("per-node IK in a grid sweep")
+
+        monkeypatch.setattr(kinematics._GridInverseKinematics, "__call__", counted)
+        monkeypatch.setattr(kinematics, "_batch_inverse_kinematics", refused)
         # every design bounded first, then the values taken in reverse order
         values = [constraint.upper_bound(x)[1] for x in designs]
         for value, expected in zip(values[::-1], exact[::-1]):
@@ -622,13 +626,19 @@ class TestParetoSweep:
         starts = starts_for(problem, 2)
         monkeypatch.setattr(kinematics, "TRANSMISSION_BLOCK_ROWS", 64)  # several blocks per mask
         kernel = kinematics._transmission_rows
+        table_ik = kinematics._GridInverseKinematics.__call__
         threads = set()
 
-        def recorded(positions, geometry):
+        def recorded(positions, geometry, ik):
             threads.add(threading.current_thread())
-            return kernel(positions, geometry)
+            return kernel(positions, geometry, ik)
+
+        def recorded_ik(self, lines):
+            threads.add(threading.current_thread())
+            return table_ik(self, lines)
 
         monkeypatch.setattr(kinematics, "_transmission_rows", recorded)
+        monkeypatch.setattr(kinematics._GridInverseKinematics, "__call__", recorded_ik)
         serial, _ = self.solved_on(monkeypatch, 1, problem, weights, starts, 40)
         threads.clear()
         threaded, _ = self.solved_on(monkeypatch, 2, problem, weights, starts, 40)

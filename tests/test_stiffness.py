@@ -475,10 +475,42 @@ def per_row_stiffness(model, points):
     return valid, total
 
 
+def unique_levers(pts, rho, leg):
+    """``_distinct_levers`` by ``np.unique`` of the levers' 24 bytes as one
+    void scalar a row, with a stable sort for the first occurrences; the
+    oracle of its ``first`` and ``inverse``."""
+    lever = pts.copy()
+    np.subtract(pts[:, leg], rho[:, leg], out=lever[:, leg])
+    key = lever.view(np.dtype((np.void, 3 * lever.itemsize))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def assert_levers_as_unique(points, geometry):
+    """Each leg's ``_distinct_levers`` of the reachable rows has the bytes
+    and the dtypes of ``unique_levers``."""
+    reachable, rho = batch_inverse_kinematics(points, geometry)
+    pts, rho = points[reachable], rho[reachable]
+    for leg in range(3):
+        for actual, expected in zip(stiffness._distinct_levers(pts, rho, leg), unique_levers(pts, rho, leg)):
+            assert actual.dtype == expected.dtype
+            assert actual.tobytes() == expected.tobytes()
+
+
 class TestDistinctLevers:
     """Each leg's step runs once per distinct lever and its contribution is
     gathered back to every row with that lever, with the bits of the step
     run on every row."""
+
+    def test_levers_differing_in_the_sign_of_a_zero_are_distinct(self):
+        # the lever's bytes tell +0.0 from -0.0, though they compare equal
+        pts = np.array([[0.5, -0.0, 0.25], [0.5, 0.0, 0.25], [0.5, -0.0, 0.25], [0.5, 0.0, 0.25], [0.5, 0.0, -0.0]])
+        rho = np.full((5, 3), -0.5)
+        first, inverse = stiffness._distinct_levers(pts, rho, 0)
+        assert sorted(first.tolist()) == [0, 1, 4]
+        assert inverse[0] == inverse[2] and inverse[1] == inverse[3] and len(set(inverse.tolist())) == 3
+        for actual, expected in zip((first, inverse), unique_levers(pts, rho, 0)):
+            assert actual.tobytes() == expected.tobytes()
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=40)
     @given(
@@ -501,6 +533,7 @@ class TestDistinctLevers:
         model = replace(default_model()[0], geometry=GeometryParams(lengths, limits, signs))
         points = GridSpec(origin, proportions, resolution, dims).node_positions()
         assume(batch_inverse_kinematics(points, model.geometry)[0].any())
+        assert_levers_as_unique(points, model.geometry)
         leg_jacobians = OrthoglideStiffnessModel._leg_jacobians
 
         def some_legs_fail(self, pts, rho, leg):
@@ -524,6 +557,7 @@ class TestDistinctLevers:
         config = output_hashes.configs()[name]
         model, _ = build_stiffness(config)
         points = build_grid(config, resolution).node_positions()
+        assert_levers_as_unique(points, model.geometry)
         valid, k = model.batch_cartesian_stiffness(points)
         reference_valid, reference_k = per_row_stiffness(model, points)
         assert valid.tobytes() == reference_valid.tobytes()
