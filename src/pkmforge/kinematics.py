@@ -382,11 +382,11 @@ def _transmission_rows(positions: np.ndarray, geometry: GeometryParams, ik=None)
     and the kernel starts after that step and uses the arrays up: a grid
     mask passes each block's IK from the per-leg tables
     (``_GridInverseKinematics``), or the one its predicate's ``reach``
-    kept.  The singular values of J are the
-    reciprocals of those of M, so no matrix inversion is needed; the Gram
-    ``M^T M``, its eigenvalues and the guard are computed elementwise on the
-    kept rows only, and ``M`` and the Gram are freed as soon as they have
-    been used, so a block holds little more than its kept rows.
+    kept.  The singular values of J are the reciprocals of those of M, so
+    no matrix inversion is needed; the Gram ``M^T M``, its eigenvalues and
+    the guard are computed elementwise on the kept rows only, and ``M`` and
+    the Gram are freed as soon as they have been used, so a block holds
+    little more than its kept rows.
     """
     cols = np.ascontiguousarray(np.asarray(positions, dtype=float).T)
     reachable, rho = _batch_inverse_kinematics(cols.T, geometry) if ik is None else ik
