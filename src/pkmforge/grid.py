@@ -138,6 +138,15 @@ class GridSpec(_ValueSemantics):
         """The node coordinates along each axis."""
         return [self.origin[a] + self.steps[a] * np.arange(self.dims[a]) for a in range(3)]
 
+    def _line_positions(self, lines: slice) -> np.ndarray:
+        """``node_positions()``'s rows of a block of ``sweep_grid``'s k-lines,
+        bit for bit, as an (n, 3) view of a C-contiguous (3, n) array."""
+        xs, ys, zs = self._axes()
+        xi, yi = np.divmod(np.arange(lines.start, lines.stop), self.dims[1])
+        cols = np.empty((3, xi.size, zs.size))
+        cols[0], cols[1], cols[2] = xs[xi, None], ys[yi, None], zs
+        return cols.reshape(3, -1).T
+
     @cached_property
     def _node_positions(self) -> np.ndarray:
         xs, ys, zs = np.meshgrid(*self._axes(), indexing="ij")
@@ -286,7 +295,7 @@ def parallel_map(work: Callable, items: Sequence) -> list:
     item starts, and the first exception in input order propagates.
 
     The package's one parallel loop: the kinematic transmission sweeps
-    (``sweep_blocks``, and ``sweep_grid`` for masks), the stiffness sweep,
+    (``sweep_blocks``, and ``sweep_grid`` on a grid), the stiffness sweep,
     the deflection solve, the dynamics fields' per-row algebra and
     ``pareto_sweep``'s solves run on it.  Each thread's glibc arena keeps
     the peak of its items' temporaries after a loop, where no other thread
@@ -344,39 +353,22 @@ def sweep_blocks(n: int, work: Callable[[slice], None], block_rows: Optional[int
     parallel_map(work, [slice(start, min(start + size, n)) for start in range(0, n, size)])
 
 
-def sweep_grid(spec: GridSpec, work: Callable[[slice, np.ndarray], None], block_rows: int) -> None:
-    """Calls ``work(rows, positions)`` on ``sweep_blocks`` for each block of
-    whole k-lines of the grid, ``block_rows // dims[2]`` lines (at least
-    one) a block.
-
-    ``rows`` is the block's slice of the nodes in C order, and
-    ``positions`` their (n, 3) coordinates: a view of a C-contiguous
-    (3, n) array filled from the three axes, equal to
-    ``spec.node_positions()[rows]`` bit for bit, so no (N, 3) array is
-    built.  ``work`` writes its rows' results in place.
-    """
-    ni, nj, nk = spec.dims
-    xs, ys, zs = spec._axes()
-    # the x and y coordinates of each k-line, in C order
-    line_x, line_y = np.repeat(xs, nj), np.tile(ys, ni)
-
-    def block(lines: slice) -> None:
-        cols = np.empty((3, lines.stop - lines.start, nk))
-        cols[0] = line_x[lines, None]
-        cols[1] = line_y[lines, None]
-        cols[2] = zs
-        work(slice(lines.start * nk, lines.stop * nk), cols.reshape(3, -1).T)
-
-    sweep_blocks(ni * nj, block, max(1, block_rows // nk))
+def sweep_grid(spec: GridSpec, work: Callable[[slice], None], block_rows: int) -> None:
+    """Calls ``work(lines)`` on ``sweep_blocks`` for each block of whole
+    k-lines, ``block_rows // dims[2]`` lines (at least one) a block.  Line
+    ``i * dims[1] + j`` is nodes ``(i, j, :)``, so ``work`` writes rows
+    ``lines.start * dims[2]`` to ``lines.stop * dims[2]`` in place; their
+    positions come from ``spec._line_positions(lines)``."""
+    sweep_blocks(spec.dims[0] * spec.dims[1], work, max(1, block_rows // spec.dims[2]))
 
 
 def evaluate_mask(spec: GridSpec, predicate) -> FeasibilityMask:
     """Evaluate a node predicate over every grid node in one sweep.
 
     A predicate with a ``mask(spec)`` method returns the flags of the
-    grid's nodes in C order without their positions array (the
-    transmission predicates, on ``sweep_grid``); any other predicate's
-    ``batch`` method takes the (N, 3) node positions.  Either must return
+    grid's nodes in C order without an (N, 3) positions array (the
+    transmission predicates, in blocks of k-lines on ``sweep_grid``); any
+    other predicate's ``batch`` method takes the (N, 3) node positions.  Either must return
     one flag per node; whatever it raises propagates.  A caller that also
     needs each node's value asks the predicate's ``map(positions)``, which
     gives the values and the flags from one sweep.

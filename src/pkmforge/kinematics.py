@@ -251,10 +251,15 @@ class _GridInverseKinematics:
     unreachable nodes included: ``rho_i`` is the axis-i value plus the
     table entry, compared with the joint limits as there.  ``rho`` is an
     (n, 3) view of a (3, n) array.
+
+    A transmission predicate's ``reach`` and ``mask`` share one per grid.
+    ``kept``, ``(lines, ik)``, is a one-shot slot: ``take(lines)`` hands the
+    IK that ``reach`` kept to the mask block of those lines, and empties it.
     """
 
     def __init__(self, spec, geometry: GeometryParams):
-        self.nj = spec.dims[1]
+        self.spec = spec
+        self.kept = None
         self.axes = spec._axes()
         self.limits = geometry.joint_limits
         self.tables = []
@@ -273,7 +278,7 @@ class _GridInverseKinematics:
         x, y, z = self.axes
         # each line's x and y index; leg 0's table is indexed (y, z), leg
         # 1's (z, x) and leg 2's (x, y)
-        xi, yi = np.divmod(np.arange(lines.start, lines.stop), self.nj)
+        xi, yi = np.divmod(np.arange(lines.start, lines.stop), self.spec.dims[1])
         (ok_0, root_0), (ok_1, root_1), (ok_2, root_2) = self.tables
         rho = np.empty((3, xi.size, z.size))
         np.add(x[xi, None], root_0[yi], out=rho[0])
@@ -286,6 +291,14 @@ class _GridInverseKinematics:
             reachable &= rho[i] >= lo
             reachable &= rho[i] <= hi
         return reachable.reshape(-1), rho.reshape(3, -1).T
+
+    def take(self, lines: slice):
+        """The kept IK of ``lines``, now the caller's alone, or ``self(lines)``."""
+        kept = self.kept
+        if kept is None or kept[0] != lines:
+            return self(lines)
+        self.kept = None
+        return kept[1]
 
 
 def batch_rate_matrices(positions: np.ndarray, geometry: GeometryParams):
@@ -466,14 +479,20 @@ class _TransmissionPredicate:
     ``grid.sweep_grid``, so it builds no (N, 3) positions array and keeps
     none of the float outputs of a full sweep (24 bytes a node, 51 MB on a
     129^3 grid), only one byte a node.  ``reach(spec)`` gives the flags of
-    the nodes that pass the inverse kinematics alone.
+    the nodes that pass the inverse kinematics alone.  Both read the IK
+    from the latest grid's per-leg tables, matched by identity.
     """
 
     def __init__(self, geometry: GeometryParams, cond_max, sigma_range):
         self.geometry = geometry
         self.cond_max = cond_max
         self.sigma_range = sigma_range
-        self._ik = None  # (spec, (start, stop), (reachable, rho)) of a one-block grid, kept by reach
+        self._tables = None
+
+    def _tables_of(self, spec) -> _GridInverseKinematics:
+        if self._tables is None or self._tables.spec is not spec:
+            self._tables = _GridInverseKinematics(spec, self.geometry)
+        return self._tables
 
     def _passes(self, cond, sigma_min, sigma_max) -> np.ndarray:
         """The bounds' flags; NaN values (unreachable rows) fail every bound."""
@@ -494,53 +513,40 @@ class _TransmissionPredicate:
         """The flags of a grid's nodes that pass the inverse kinematics, in
         C order: a superset of ``mask(spec)``'s flags.
 
-        The IK comes from the per-leg tables (``_GridInverseKinematics``),
-        swept in ``mask(spec)``'s blocks of whole k-lines on
-        ``grid.sweep_blocks``, with no positions filled.  On a grid of one
-        block, ``TRANSMISSION_BLOCK_ROWS`` nodes or fewer, the predicate
-        keeps that block's IK, keyed on the grid and the block's rows, and
-        its next ``mask(spec)`` hands it to the kernel of the block with
-        those rows, if it has one.
+        The IK comes from the grid's per-leg tables, swept in ``mask``'s
+        blocks of whole k-lines on ``grid.sweep_grid``, with no positions
+        filled.  On a grid of one block, ``TRANSMISSION_BLOCK_ROWS`` nodes
+        or fewer, the tables keep that block's IK for ``mask(spec)``.
         """
         nk = spec.dims[2]
-        nodes = spec.dims[0] * spec.dims[1] * nk
-        flags = np.empty(nodes, dtype=bool)
-        ik = _GridInverseKinematics(spec, self.geometry)
-        self._ik = None
+        flags = np.empty(spec.dims[0] * spec.dims[1] * nk, dtype=bool)
+        ik = self._tables_of(spec)
 
         def block(lines: slice) -> None:
             reachable, rho = ik(lines)
             flags[lines.start * nk : lines.stop * nk] = reachable
-            if (lines.stop - lines.start) * nk == nodes:
-                self._ik = (spec, (0, nodes), (reachable, rho))
+            if (lines.stop - lines.start) * nk == flags.size:
+                ik.kept = (lines, (reachable, rho))
 
-        sweep_blocks(spec.dims[0] * spec.dims[1], block, max(1, TRANSMISSION_BLOCK_ROWS // nk))
+        sweep_grid(spec, block, TRANSMISSION_BLOCK_ROWS)
         return flags
 
     def mask(self, spec) -> np.ndarray:
         """The flags of a grid's nodes, in C order, swept on
-        ``grid.sweep_grid``; each block's IK comes from the per-leg tables
-        (``_GridInverseKinematics``), or is the one ``reach(spec)`` kept for
-        that block's rows, and the kernel takes it as its ``ik``."""
+        ``grid.sweep_grid``.  Each block fills its positions from the axes
+        and hands the kernel, as its ``ik``, the IK ``reach(spec)`` kept for
+        its lines or the one from the grid's per-leg tables.  A kept IK that
+        no block takes is dropped when the mask ends."""
         nk = spec.dims[2]
         flags = np.zeros(spec.dims[0] * spec.dims[1] * nk, dtype=bool)
-        kept = self._ik
-        self._ik = None
-        # the kept IK by its block's rows: popped into that block's kernel,
-        # so no frame here keeps it alive while the kernel runs
-        handoff = {kept[1]: kept[2]} if kept is not None and kept[0] is spec else {}
-        ik = _GridInverseKinematics(spec, self.geometry)
+        ik = self._tables_of(spec)
 
-        def block(part: slice, positions: np.ndarray) -> None:
-            key = (part.start, part.stop)
-            rows, s_min, s_max = _transmission_rows(
-                positions,
-                self.geometry,
-                handoff.pop(key) if key in handoff else ik(slice(part.start // nk, part.stop // nk)),
-            )
-            flags[rows[self._passes(s_max / s_min, s_min, s_max)] + part.start] = True
+        def block(lines: slice) -> None:
+            rows, s_min, s_max = _transmission_rows(spec._line_positions(lines), self.geometry, ik.take(lines))
+            flags[rows[self._passes(s_max / s_min, s_min, s_max)] + lines.start * nk] = True
 
         sweep_grid(spec, block, TRANSMISSION_BLOCK_ROWS)
+        ik.kept = None
         return flags
 
 

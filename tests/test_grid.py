@@ -217,7 +217,8 @@ class TestGridSpec:
 
 
 class TestSweepGrid:
-    """``sweep_grid`` builds each block's positions from the axes."""
+    """``sweep_grid`` splits a grid's k-lines into blocks, and
+    ``GridSpec._line_positions`` fills a block's positions from the axes."""
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=80)
     @given(
@@ -234,24 +235,23 @@ class TestSweepGrid:
     def test_block_positions_equal_node_positions(self, dims, origin, proportions, resolution, block_rows):
         spec = make_spec(dims, resolution=resolution, proportions=proportions, origin=origin)
         blocks = []
-
-        def record(rows, positions):
-            assert positions.T.flags.c_contiguous
-            blocks.append((rows, positions.copy()))
-
-        sweep_grid(spec, record, block_rows)
-        assert "_node_positions" not in vars(spec)
-        nodes = spec.node_positions()
-        blocks.sort(key=lambda block: block[0].start)
-        starts = [rows.start for rows, _ in blocks]
-        stops = [rows.stop for rows, _ in blocks]
-        assert starts == [0] + stops[:-1] and stops[-1] == len(nodes)
+        sweep_grid(spec, blocks.append, block_rows)
+        # the blocks of k-lines partition the grid's nodes in C order
+        blocks.sort(key=lambda lines: lines.start)
+        starts = [lines.start * dims[2] for lines in blocks]
+        stops = [lines.stop * dims[2] for lines in blocks]
+        assert starts == [0] + stops[:-1] and stops[-1] == dims[0] * dims[1] * dims[2]
         lines = max(1, block_rows // dims[2]) * dims[2]
         assert all(stop - start == lines for start, stop in zip(starts[:-1], stops[:-1]))
         assert 0 < stops[-1] - starts[-1] <= lines
-        for rows, positions in blocks:
-            assert positions.shape == (rows.stop - rows.start, 3)
-            assert positions.tobytes() == nodes[rows].tobytes()
+        # each block's positions, filled from the axes, are its nodes' bit for bit
+        filled = [spec._line_positions(lines) for lines in blocks]
+        assert "_node_positions" not in vars(spec)
+        nodes = spec.node_positions()
+        for start, stop, positions in zip(starts, stops, filled):
+            assert positions.T.flags.c_contiguous
+            assert positions.shape == (stop - start, 3)
+            assert positions.tobytes() == nodes[start:stop].tobytes()
 
 
 class TestParallelMap:

@@ -473,6 +473,19 @@ def count_table_ik(monkeypatch):
     return calls
 
 
+def count_table_builds(monkeypatch):
+    """Record the grid of each set of per-leg tables built."""
+    build = kinematics._GridInverseKinematics.__init__
+    grids = []
+
+    def counted(self, spec, geometry):
+        grids.append(spec)
+        build(self, spec, geometry)
+
+    monkeypatch.setattr(kinematics._GridInverseKinematics, "__init__", counted)
+    return grids
+
+
 def one_block_spec():
     """A 23 x 21 x 25 grid around the symmetric geometry's workspace: one
     transmission block."""
@@ -517,10 +530,33 @@ class TestReach:
         assert predicate.mask(spec).tobytes() == alone.tobytes()
         assert sum(calls) == nodes
 
+    @pytest.mark.parametrize("make_spec", [one_block_spec, mask_spec])
+    def test_reach_and_mask_share_one_set_of_tables(self, monkeypatch, symmetric_geometry, make_spec):
+        spec = make_spec()
+        alone = transmission_predicate(symmetric_geometry, cond_max=2.0).mask(spec)
+        grids = count_table_builds(monkeypatch)
+        fill = grid.GridSpec._line_positions
+        filled = []
+
+        def recorded(self, lines):
+            filled.append(lines.stop - lines.start)
+            return fill(self, lines)
+
+        monkeypatch.setattr(grid.GridSpec, "_line_positions", recorded)
+        predicate = transmission_predicate(symmetric_geometry, cond_max=2.0)
+        predicate.reach(spec)
+        assert len(grids) == 1 and grids[0] is spec
+        assert filled == []  # reach fills no positions
+        for _ in range(2):
+            assert predicate.mask(spec).tobytes() == alone.tobytes()
+        assert len(grids) == 1
+        assert sum(filled) == 2 * spec.dims[0] * spec.dims[1]
+
     def test_kept_ik_is_used_only_by_a_block_of_its_rows(self, monkeypatch, symmetric_geometry):
         # the blocks shrink between reach and mask, so no block of the mask
         # has the rows of the IK that reach kept
         spec = one_block_spec()
+        nodes = spec.dims[0] * spec.dims[1] * spec.dims[2]
         predicate = transmission_predicate(symmetric_geometry, cond_max=2.0)
         predicate.reach(spec)
         monkeypatch.setattr(kinematics, "TRANSMISSION_BLOCK_ROWS", 2000)
@@ -528,7 +564,12 @@ class TestReach:
         assert 0 < alone.sum()
         calls = count_table_ik(monkeypatch)
         assert predicate.mask(spec).tobytes() == alone.tobytes()
-        assert len(calls) > 1 and sum(calls) == spec.dims[0] * spec.dims[1] * spec.dims[2]
+        assert len(calls) > 1 and sum(calls) == nodes
+        # the mask dropped the IK it did not use: one block runs its own
+        monkeypatch.setattr(kinematics, "TRANSMISSION_BLOCK_ROWS", TRANSMISSION_BLOCK_ROWS)
+        calls.clear()
+        assert predicate.mask(spec).tobytes() == alone.tobytes()
+        assert calls == [nodes]
 
     def test_kept_ik_is_used_only_on_its_own_grid(self, symmetric_geometry):
         spec = one_block_spec()

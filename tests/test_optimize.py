@@ -312,6 +312,25 @@ class TestReachableBound:
         assert float(values[0]()).hex() == float(exact[0]).hex()
         assert calls == [17**3] * (len(designs) + 1)
 
+    def test_a_bound_and_its_value_build_one_set_of_tables(self, monkeypatch):
+        # the C7 search's 33^3 grid, one transmission block
+        problem = orthoglide_geometry_problem((1.0, 1.0, 0.8), (0.5, 2.0), resolution=16)
+        constraint = problem.constraints[0]
+        design = starts_for(problem, 1, seed=11)[0]
+        exact = constraint.evaluate(design)
+        build = kinematics._GridInverseKinematics.__init__
+        grids = []
+
+        def counted(self, spec, geometry):
+            grids.append(spec.dims)
+            build(self, spec, geometry)
+
+        monkeypatch.setattr(kinematics._GridInverseKinematics, "__init__", counted)
+        upper, value = constraint.upper_bound(design)
+        assert exact <= upper and grids == [(33, 33, 33)]
+        assert float(value()).hex() == float(exact).hex()
+        assert grids == [(33, 33, 33)]
+
     @settings(database=None, derandomize=True, deadline=None, max_examples=20)
     @given(
         name=st.sampled_from(sorted(BOUNDED_PROBLEMS)),
